@@ -1,4 +1,4 @@
-.PHONY: all check test lint doc clean bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke
+.PHONY: all check test lint doc clean bench-selfcheck bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke
 
 all:
 	dune build
@@ -10,10 +10,19 @@ all:
 # on the example topologies, the SSSP kernels agree bit-for-bit on
 # the quick equivalence fixtures, the two cycle-break engines agree
 # on a small torus (break-smoke), the topology-zoo conformance battery
-# certifies every corpus file and generator sample, and a quick churn
-# soak (>= 200 seeded events) survives with every epoch recertified.
+# certifies every corpus file and generator sample, a quick churn
+# soak (>= 200 seeded events) survives with every epoch recertified,
+# and the controller benchmark's self-check drives every benchmark path
+# on small fabrics.
 check:
-	dune build && dune build --profile release && dune runtest && $(MAKE) lint && $(MAKE) analyze-examples && $(MAKE) kernel-equivalence && $(MAKE) break-smoke && $(MAKE) smoke-service && $(MAKE) zoo && $(MAKE) soak-smoke
+	dune build && dune build --profile release && dune runtest && $(MAKE) lint && $(MAKE) analyze-examples && $(MAKE) kernel-equivalence && $(MAKE) break-smoke && $(MAKE) smoke-service && $(MAKE) zoo && $(MAKE) soak-smoke && $(MAKE) bench-selfcheck
+
+# Controller benchmark self-check, part of `check` (perfbench/README.md):
+# builds perfbench/bench.exe and runs every workload path (cold builds,
+# traced stages, daemon churn) on small fabrics in seconds, checking the
+# outputs, so a change that breaks the benchmark fails here first.
+bench-selfcheck:
+	python3 perfbench/run.py --self-check
 
 # Topology-zoo conformance battery (doc/topology_ingestion.md): every
 # file under examples/zoo plus the seeded jellyfish/xpander samples,

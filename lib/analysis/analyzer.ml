@@ -27,17 +27,26 @@ let t_certify = Obs.Registry.timer "analysis.certify" ~desc:"seconds per certifi
 
 let t_analyze = Obs.Registry.timer "analysis.analyze" ~desc:"seconds per full analyzer run"
 
-let certify ft =
+let refuted msg = Printf.sprintf "checker refuted the generated witness: %s" msg
+
+let certify_store ~num_layers store ~layer_of_path =
   Obs.Counter.incr c_certify;
   Obs.Timer.time t_certify (fun () ->
-      match Cert.of_table ft with
+      match Cert.of_store ~num_layers store ~layer_of_path with
       | Error e -> Error (Cert.error_to_string e)
       | Ok cert -> (
         (* the generated witness is untrusted until the checker re-derives
            every dependency from the artifact and accepts it *)
-        match Cert.check_table cert ft with
+        match Cert.check cert store ~layer_of_path with
         | Ok () -> Ok cert
-        | Error msg -> Error (Printf.sprintf "checker refuted the generated witness: %s" msg)))
+        | Error msg -> Error (refuted msg)))
+
+let certify ft =
+  match Cert.artifacts_of_table ft with
+  | Ok (store, layer_of_path) -> certify_store ~num_layers:(Ftable.num_layers ft) store ~layer_of_path
+  | Error msg ->
+    Obs.Counter.incr c_certify;
+    Error (Cert.error_to_string (Cert.Incomplete msg))
 
 (* Topology-level findings (A008/A009/A010): computed on the fabric the
    table is judged against, so a degraded [?graph] override is analyzed,
@@ -80,19 +89,22 @@ let analyze_inner ?hop_budget ?graph ft =
   let ex = Existence.analyze fabric in
   let findings = findings @ existence_findings ex ~num_layers:(Ftable.num_layers ft) in
   let findings, verdict =
-    match Cert.of_table ft with
-    | Error (Cert.Cycle { layer; stuck } as e) ->
-      ( findings
-        @ [
-            Diag.finding ~count:stuck Diag.a007_cdg_cycle
-              (Printf.sprintf "layer %d: %d channel(s) stuck on a dependency cycle" layer stuck);
-          ],
-        Rejected (Cert.error_to_string e) )
-    | Error (Cert.Incomplete _ as e) -> (findings, Rejected (Cert.error_to_string e))
-    | Ok cert -> (
-      match Cert.check_table cert ft with
-      | Ok () -> (findings, Certified cert)
-      | Error msg -> (findings, Rejected (Printf.sprintf "checker refuted the generated witness: %s" msg)))
+    match Cert.artifacts_of_table ft with
+    | Error msg -> (findings, Rejected (Cert.error_to_string (Cert.Incomplete msg)))
+    | Ok (store, layer_of_path) -> (
+      match Cert.of_store ~num_layers:(Ftable.num_layers ft) store ~layer_of_path with
+      | Error (Cert.Cycle { layer; stuck } as e) ->
+        ( findings
+          @ [
+              Diag.finding ~count:stuck Diag.a007_cdg_cycle
+                (Printf.sprintf "layer %d: %d channel(s) stuck on a dependency cycle" layer stuck);
+            ],
+          Rejected (Cert.error_to_string e) )
+      | Error (Cert.Incomplete _ as e) -> (findings, Rejected (Cert.error_to_string e))
+      | Ok cert -> (
+        match Cert.check cert store ~layer_of_path with
+        | Ok () -> (findings, Certified cert)
+        | Error msg -> (findings, Rejected (refuted msg))))
   in
   let g = Ftable.graph ft in
   {

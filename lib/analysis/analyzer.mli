@@ -33,9 +33,19 @@ type report = {
     feasible one the informational {!Diag.a010_layer_slack}. *)
 val analyze : ?hop_budget:Lint.hop_budget -> ?graph:Graph.t -> Ftable.t -> report
 
-(** [certify ft] is the install gate used by {!Fabric.Epoch}: generate a
-    certificate and have the trusted checker validate it against the
-    table's own routes. [Error] explains the refusal. *)
+(** [certify_store ~num_layers store ~layer_of_path] is the install gate
+    used by {!Fabric.Epoch}: generate a certificate ({!Cert.of_store})
+    and have the trusted checker validate it ({!Cert.check}) against the
+    routes of one materialized artifact ({!Cert.artifacts_of_table}),
+    which both sides only read. [num_layers] is the table's declared
+    layer count. [Error] explains the refusal. Counted and timed as
+    [analysis.certify]. *)
+val certify_store :
+  num_layers:int -> Route_store.t -> layer_of_path:int array -> (Cert.t, string) result
+
+(** [certify ft] is {!certify_store} over [ft]'s routes, materialized
+    once; a table whose routes cannot be walked is refused as having
+    nothing to certify. *)
 val certify : Ftable.t -> (Cert.t, string) result
 
 (** [ok r] is [true] iff the verdict is [Certified] and no finding has

@@ -87,14 +87,13 @@ let artifacts_of_table ft =
         layer_of_path.(pair) <- Ftable.layer ft ~src ~dst);
     Ok (store, layer_of_path)
 
-let table_num_layers ft layer_of_path =
-  max (Ftable.num_layers ft) (1 + Array.fold_left max 0 layer_of_path)
+let of_store ~num_layers store ~layer_of_path =
+  generate store ~layer_of_path ~num_layers:(max num_layers (1 + Array.fold_left max 0 layer_of_path))
 
 let of_table ft =
   match artifacts_of_table ft with
   | Error msg -> Error (Incomplete msg)
-  | Ok (store, layer_of_path) ->
-    generate store ~layer_of_path ~num_layers:(table_num_layers ft layer_of_path)
+  | Ok (store, layer_of_path) -> of_store ~num_layers:(Ftable.num_layers ft) store ~layer_of_path
 
 exception Violation of string
 

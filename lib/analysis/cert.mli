@@ -45,9 +45,15 @@ val error_to_string : error -> string
     or [num_layers < 1]. *)
 val generate : Route_store.t -> layer_of_path:int array -> num_layers:int -> (t, error) result
 
+(** [of_store ~num_layers store ~layer_of_path] certifies already
+    materialized artifacts ({!artifacts_of_table}); layers are sized to
+    cover both the declared [num_layers] and the highest layer any route
+    uses. Read-only on [store]. *)
+val of_store : num_layers:int -> Route_store.t -> layer_of_path:int array -> (t, error) result
+
 (** [of_table ft] materializes the table's routes and layer assignment
-    and certifies them; layers are sized to cover both the declared
-    layer count and the highest layer any route uses. *)
+    and certifies them ({!of_store} with the table's declared layer
+    count). *)
 val of_table : Ftable.t -> (t, error) result
 
 (** {1 Checking (trusted side)} *)

@@ -22,22 +22,23 @@ let deadlock_free ?(domains = 1) ft =
     let num_layers = 1 + Array.fold_left max 0 layer_of_path in
     Acyclic.layers_acyclic_store ~domains store ~layer_of_path ~num_layers
 
+let report_store ~num_layers store ~layer_of_path =
+  match Routing.Ftable.validate_store store with
+  | Error msg -> Error msg
+  | Ok stats ->
+    let max_layer_seen = Array.fold_left max 0 layer_of_path in
+    Ok
+      {
+        stats;
+        num_layers;
+        max_layer_seen;
+        deadlock_free =
+          Acyclic.layers_acyclic_store store ~layer_of_path ~num_layers:(1 + max_layer_seen);
+      }
+
 let report ft =
-  match Routing.Ftable.validate ft with
-  | Error _ as e -> e |> Result.map (fun _ -> assert false)
-  | Ok stats -> (
-    match collect_store ft with
-    | Error _ as e -> e |> Result.map (fun _ -> assert false)
-    | Ok (store, layer_of_path) ->
-      let max_layer_seen = Array.fold_left max 0 layer_of_path in
-      Ok
-        {
-          stats;
-          num_layers = Routing.Ftable.num_layers ft;
-          max_layer_seen;
-          deadlock_free =
-            Acyclic.layers_acyclic_store store ~layer_of_path ~num_layers:(1 + max_layer_seen);
-        })
+  Result.bind (collect_store ft) (fun (store, layer_of_path) ->
+      report_store ~num_layers:(Routing.Ftable.num_layers ft) store ~layer_of_path)
 
 let pp_report ppf r =
   Format.fprintf ppf "%a layers=%d (max used %d) deadlock_free=%b" Routing.Ftable.pp_stats r.stats

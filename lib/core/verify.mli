@@ -16,8 +16,17 @@ type report = {
     parallel. *)
 val deadlock_free : ?domains:int -> Ftable.t -> bool
 
-(** [report ft] validates routes and checks deadlock-freedom; [Error] if
-    some pair is unroutable. *)
+(** [report_store ~num_layers store ~layer_of_path] is the verifier over
+    routes already materialized into an arena (pair ids as in
+    {!Ftable.to_store}; [layer_of_path] indexed by pair id, [num_layers]
+    the table's declared count): {!Ftable.validate_store}'s completeness,
+    consistency and minimality checks, then one CDG per used layer
+    checked acyclic. Read-only, so one arena can feed several checks.
+    [Error] if some pair has no path. *)
+val report_store : num_layers:int -> Route_store.t -> layer_of_path:int array -> (report, string) result
+
+(** [report ft] materializes [ft]'s routes and runs {!report_store} on
+    them; [Error] if some pair is unroutable. *)
 val report : Ftable.t -> (report, string) result
 
 val pp_report : Format.formatter -> report -> unit

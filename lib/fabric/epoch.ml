@@ -13,36 +13,38 @@ type snapshot = {
 
 type t = {
   mutable epoch : int;
-  mutable active : Ftable.t option;
   mutable entries : entry list; (* newest first *)
-  mutable snap : snapshot option; (* cached export of the current epoch *)
+  mutable snap : snapshot option; (* the current epoch's export, installed by the swap *)
 }
 
-let create () = { epoch = 0; active = None; entries = []; snap = None }
+let create () = { epoch = 0; entries = []; snap = None }
 
 let epoch t = t.epoch
 
-let active t = t.active
+let active t = Option.map (fun s -> s.tables) t.snap
 
 let history t = List.rev t.entries
 
-(* Built lazily — paid once per epoch on the first route query, never by
-   code paths that only replay schedules — and cached until the next
-   swap. The returned record is never mutated afterwards, so readers may
-   keep it across swaps and stay internally consistent. *)
 let snapshot t =
   match t.snap with
-  | Some s when s.snap_epoch = t.epoch -> Ok s
-  | _ -> (
-    match t.active with
-    | None -> Error "no active epoch"
-    | Some tables -> (
-      match Ftable.to_store tables with
-      | Error msg -> Error (Printf.sprintf "epoch %d: %s" t.epoch msg)
-      | Ok store ->
-        let s = { snap_epoch = t.epoch; tables; store; num_layers = Ftable.num_layers tables } in
-        t.snap <- Some s;
-        Ok s))
+  | Some s -> Ok s
+  | None -> Error "no active epoch"
+
+let t_materialise =
+  Obs.Registry.timer "fabric.materialise" ~desc:"seconds walking a swap candidate's routes into its arena"
+
+(* The swap gate's one walk of the candidate's routes, by the analysis
+   side's own extractor — nothing from construction is reused. *)
+let materialise candidate =
+  let span = Obs.Trace.begin_span "fabric.materialise" in
+  let r = Obs.Timer.time t_materialise (fun () -> Analysis.Cert.artifacts_of_table candidate) in
+  Obs.Trace.end_span span
+    ~attrs:
+      [
+        ("ok", Obs.Trace.Bool (Result.is_ok r));
+        ("paths", Obs.Trace.Int (match r with Ok (store, _) -> Route_store.num_paths store | Error _ -> 0));
+      ];
+  r
 
 let try_swap t ~label candidate =
   let span =
@@ -60,6 +62,7 @@ let try_swap t ~label candidate =
   finish
   @@
   let t0 = Unix.gettimeofday () in
+  let elapsed () = Unix.gettimeofday () -. t0 in
   (* The topology-level existence gate runs before anything touches the
      candidate's routes: a layer budget below the fabric's provable
      minimum (Analysis.Existence) cannot be certified by any table, so
@@ -70,27 +73,33 @@ let try_swap t ~label candidate =
         (Printf.sprintf
            "existence: layer budget %d is below the provable minimum %d for this fabric"
            (Ftable.num_layers candidate) ex.Analysis.Existence.min_layers_lb),
-      Unix.gettimeofday () -. t0 )
+      elapsed () )
   else
-  (* The independent certificate gate runs next: the trusted checker in
-     lib/analysis must accept a topological witness for every layer
-     before the (construction-side) verifier is even consulted. A table
-     the checker cannot certify never goes live, whatever the code that
-     built it believes. *)
-  match Analysis.Analyzer.certify candidate with
-  | Error msg ->
-    (Error (Printf.sprintf "certificate: %s" msg), Unix.gettimeofday () -. t0)
-  | Ok _cert -> (
-    let verdict = Dfsssp.Verify.report candidate in
-    let verify_s = Unix.gettimeofday () -. t0 in
-    match verdict with
-    | Error msg -> (Error (Printf.sprintf "incomplete routing: %s" msg), verify_s)
-    | Ok r ->
-      if not r.Dfsssp.Verify.deadlock_free then
-        (Error "candidate tables are not deadlock-free", verify_s)
-      else begin
-        t.epoch <- t.epoch + 1;
-        t.active <- Some candidate;
-        t.entries <- { epoch = t.epoch; label; verify_s } :: t.entries;
-        (Ok r, verify_s)
-      end)
+  (* One walk of the candidate's routes: the certificate, the verifier
+     and (on success) the epoch's snapshot all read this one arena, and
+     none writes to it. *)
+  match materialise candidate with
+  | Error msg -> (Error (Printf.sprintf "incomplete routing: %s" msg), elapsed ())
+  | Ok (store, layer_of_path) -> (
+    let num_layers = Ftable.num_layers candidate in
+    (* The independent certificate gate runs next: the trusted checker in
+       lib/analysis must accept a topological witness for every layer
+       before the (construction-side) verifier is even consulted. A table
+       the checker cannot certify never goes live, whatever the code that
+       built it believes. *)
+    match Analysis.Analyzer.certify_store ~num_layers store ~layer_of_path with
+    | Error msg -> (Error (Printf.sprintf "certificate: %s" msg), elapsed ())
+    | Ok _cert -> (
+      let verdict = Dfsssp.Verify.report_store ~num_layers store ~layer_of_path in
+      let verify_s = elapsed () in
+      match verdict with
+      | Error msg -> (Error (Printf.sprintf "incomplete routing: %s" msg), verify_s)
+      | Ok r ->
+        if not r.Dfsssp.Verify.deadlock_free then
+          (Error "candidate tables are not deadlock-free", verify_s)
+        else begin
+          t.epoch <- t.epoch + 1;
+          t.snap <- Some { snap_epoch = t.epoch; tables = candidate; store; num_layers };
+          t.entries <- { epoch = t.epoch; label; verify_s } :: t.entries;
+          (Ok r, verify_s)
+        end))

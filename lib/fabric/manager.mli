@@ -109,8 +109,8 @@ val run : t -> Schedule.t -> outcome list
 val converged : t -> bool
 
 (** The current epoch's read-only export ({!Epoch.snapshot}): routes as
-    arena slices, built once per epoch and cached. The serving path of
-    the controller daemon ({!Service.Server}). *)
+    arena slices, the arena the epoch's swap gate checked. The serving
+    path of the controller daemon ({!Service.Server}). *)
 val snapshot : t -> (Epoch.snapshot, string) result
 
 (** [release t] shuts down the manager's routing-domain pool (a no-op

@@ -37,7 +37,7 @@ let create () =
     swap_epochs = counter "fabric.swap_epochs" "epoch counter after the latest swap";
     verify_failures = counter "fabric.verify_failures" "candidate tables rejected by the verifier";
     repair = timer "fabric.repair" "seconds computing routes/layers";
-    verify = timer "fabric.verify" "seconds in certificate + verifier gates";
+    verify = timer "fabric.verify" "seconds in the swap gate (materialise, certificate, verifier)";
   }
 
 let registry m = m.registry

@@ -11,8 +11,9 @@
       the kept routes (LASH-style), which re-runs cycle breaking only on
       the layers the new routes actually touch.
 
-    Every patched table still goes through the full independent
-    {!Dfsssp.Verify.report} before the manager swaps it in. *)
+    Every patched table still goes through the full swap gate
+    ({!Epoch.try_swap}: certificate and verifier) before the manager
+    swaps it in. *)
 
 (** [affected_destinations ft ~channels] is the terminals whose forwarding
     tree in [ft] uses any channel in [channels] — the destinations that

@@ -197,52 +197,57 @@ type stats = {
   minimal : bool;
 }
 
-let validate t =
-  let g = t.graph in
+(* Hop distance from every node TO [dst]: BFS on the reversed graph, the
+   yardstick for minimality. *)
+let hops_to g dst =
+  let dist = Array.make (Graph.num_nodes g) max_int in
+  let queue = Queue.create () in
+  dist.(dst) <- 0;
+  Queue.add dst queue;
+  while not (Queue.is_empty queue) do
+    let v = Queue.take queue in
+    Array.iter
+      (fun c ->
+        let u = (Graph.channel g c).Channel.src in
+        if dist.(u) = max_int then begin
+          dist.(u) <- dist.(v) + 1;
+          Queue.add u queue
+        end)
+      (Graph.in_channels g v)
+  done;
+  dist
+
+exception Invalid of string
+
+let validate_store store =
+  let g = Route_store.graph store in
   let terminals = Graph.terminals g in
+  let nt = Array.length terminals in
+  if Route_store.capacity store < nt * nt then invalid_arg "Ftable.validate_store: store too small";
+  let buf = Route_store.buffer store in
   let pairs = ref 0 and max_hops = ref 0 and total_hops = ref 0 and minimal = ref true in
-  let failure = ref None in
-  Array.iter
-    (fun dst ->
-      if !failure = None then begin
-        (* Hop distances for minimality are measured against BFS on the
-           reversed graph (distance from every node TO dst). *)
-        let dist = Array.make (Graph.num_nodes g) max_int in
-        let queue = Queue.create () in
-        dist.(dst) <- 0;
-        Queue.add dst queue;
-        while not (Queue.is_empty queue) do
-          let v = Queue.take queue in
-          Array.iter
-            (fun c ->
-              let u = (Graph.channel g c).Channel.src in
-              if dist.(u) = max_int then begin
-                dist.(u) <- dist.(v) + 1;
-                Queue.add u queue
-              end)
-            (Graph.in_channels g v)
-        done;
-        Array.iter
-          (fun src ->
-            if src <> dst && !failure = None then
-              match path t ~src ~dst with
-              | None -> failure := Some (Printf.sprintf "no loop-free route %d -> %d" src dst)
-              | Some p ->
-                if not (Path.is_consistent g p) then
-                  failure := Some (Printf.sprintf "inconsistent path %d -> %d" src dst)
-                else begin
-                  let hops = Path.length p in
-                  incr pairs;
-                  total_hops := !total_hops + hops;
-                  if hops > !max_hops then max_hops := hops;
-                  if hops > dist.(src) then minimal := false
-                end)
-          terminals
-      end)
-    terminals;
-  match !failure with
-  | Some msg -> Error msg
-  | None ->
+  try
+    Array.iteri
+      (fun di dst ->
+        let dist = hops_to g dst in
+        Array.iteri
+          (fun si src ->
+            if si <> di then begin
+              let pair = (si * nt) + di in
+              if not (Route_store.mem store ~pair) then
+                raise (Invalid (Printf.sprintf "no loop-free route %d -> %d" src dst));
+              let off = Route_store.offset store ~pair and hops = Route_store.length store ~pair in
+              for i = off to off + hops - 2 do
+                if (Graph.channel g buf.(i)).Channel.dst <> (Graph.channel g buf.(i + 1)).Channel.src then
+                  raise (Invalid (Printf.sprintf "inconsistent path %d -> %d" src dst))
+              done;
+              incr pairs;
+              total_hops := !total_hops + hops;
+              if hops > !max_hops then max_hops := hops;
+              if hops > dist.(src) then minimal := false
+            end)
+          terminals)
+      terminals;
     Ok
       {
         pairs = !pairs;
@@ -250,6 +255,9 @@ let validate t =
         avg_hops = (if !pairs = 0 then 0.0 else float_of_int !total_hops /. float_of_int !pairs);
         minimal = !minimal;
       }
+  with Invalid msg -> Error msg
+
+let validate t = Result.bind (to_store t) validate_store
 
 let pp_stats ppf s =
   Format.fprintf ppf "pairs=%d max_hops=%d avg_hops=%.2f minimal=%b" s.pairs s.max_hops s.avg_hops s.minimal

@@ -109,8 +109,19 @@ type stats = {
   minimal : bool;  (** every route has min-hop length *)
 }
 
-(** Check that every ordered terminal pair has a loop-free path and collect
-    statistics. [Error msg] names the first offending pair. *)
+(** [validate_store store] checks a routing's materialized paths — pair
+    ids as in {!to_store}, over the store's fabric: every ordered pair of
+    distinct terminals holds a path, every path chains head-to-tail, and
+    it collects the statistics ([minimal] against per-destination BFS
+    hop distances). Read-only. [Error msg] names the first offending
+    pair.
+    @raise Invalid_argument if the store has fewer than {!num_pairs}
+    slots. *)
+val validate_store : Deadlock.Route_store.t -> (stats, string) result
+
+(** [validate t] is {!validate_store} over {!to_store}[ t]: every ordered
+    terminal pair has a loop-free path, plus statistics. [Error msg]
+    names the first offending pair. *)
 val validate : t -> (stats, string) result
 
 val pp_stats : Format.formatter -> stats -> unit

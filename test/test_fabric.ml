@@ -371,6 +371,285 @@ let test_shutdown_idempotent_and_usable () =
   Fabric.Manager.shutdown mgr
 
 (* ------------------------------------------------------------------ *)
+(* The one-walk swap gate                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Rs = Deadlock.Route_store
+module Ft = Routing.Ftable
+
+(* Reference for the verifier's statistics, independent of the arena:
+   every pair's path as a list walk via Ftable.path, minimality against
+   per-destination reverse BFS. *)
+let oracle_stats ft =
+  let g = Ft.graph ft in
+  let terminals = Graph.terminals g in
+  let pairs = ref 0 and max_hops = ref 0 and total = ref 0 and minimal = ref true in
+  Array.iter
+    (fun dst ->
+      let dist = Array.make (Graph.num_nodes g) max_int in
+      let queue = Queue.create () in
+      dist.(dst) <- 0;
+      Queue.add dst queue;
+      while not (Queue.is_empty queue) do
+        let v = Queue.take queue in
+        Array.iter
+          (fun c ->
+            let u = (Graph.channel g c).Channel.src in
+            if dist.(u) = max_int then begin
+              dist.(u) <- dist.(v) + 1;
+              Queue.add u queue
+            end)
+          (Graph.in_channels g v)
+      done;
+      Array.iter
+        (fun src ->
+          if src <> dst then
+            match Ft.path ft ~src ~dst with
+            | None -> Alcotest.failf "oracle: no route %d -> %d" src dst
+            | Some p ->
+              if not (Path.is_consistent g p) then Alcotest.failf "oracle: inconsistent path %d -> %d" src dst;
+              let hops = Path.length p in
+              incr pairs;
+              total := !total + hops;
+              max_hops := max !max_hops hops;
+              if hops > dist.(src) then minimal := false)
+        terminals)
+    terminals;
+  {
+    Ft.pairs = !pairs;
+    max_hops = !max_hops;
+    avg_hops = (if !pairs = 0 then 0.0 else float_of_int !total /. float_of_int !pairs);
+    minimal = !minimal;
+  }
+
+(* Reference swap gate composed from the table-level entry points, each
+   walking the table itself: the existence gate, certify via
+   Cert.of_table and Cert.check_table, then Verify.report, with the
+   snapshot's paths left to a lazy Ftable.to_store
+   (check_snapshot_matches). The one-walk gate must agree with it. *)
+let oracle_gate candidate =
+  let open Analysis in
+  let ex = Existence.analyze (Ft.graph candidate) in
+  if ex.Existence.min_layers_lb > Ft.num_layers candidate then
+    Error
+      (Printf.sprintf "existence: layer budget %d is below the provable minimum %d for this fabric"
+         (Ft.num_layers candidate) ex.Existence.min_layers_lb)
+  else
+    match Cert.of_table candidate with
+    | Error e -> Error ("certificate: " ^ Cert.error_to_string e)
+    | Ok cert -> (
+      match Cert.check_table cert candidate with
+      | Error msg -> Error ("certificate: checker refuted the generated witness: " ^ msg)
+      | Ok () -> (
+        match Dfsssp.Verify.report candidate with
+        | Error msg -> Error ("incomplete routing: " ^ msg)
+        | Ok r ->
+          if r.Dfsssp.Verify.deadlock_free then Ok r else Error "candidate tables are not deadlock-free"))
+
+let prefix msg = match String.index_opt msg ':' with Some i -> String.sub msg 0 i | None -> msg
+
+let copy_table ?layer ft =
+  let g = Ft.graph ft in
+  let c = Ft.create g ~algorithm:(Ft.algorithm ft) in
+  Array.iter
+    (fun dst ->
+      for node = 0 to Graph.num_nodes g - 1 do
+        match Ft.next ft ~node ~dst with
+        | Some channel -> Ft.set_next c ~node ~dst ~channel
+        | None -> ()
+      done)
+    (Graph.terminals g);
+  Ft.iter_pairs ft (fun ~src ~dst _ ->
+      Ft.set_layer c ~src ~dst (match layer with Some l -> l | None -> Ft.layer ft ~src ~dst));
+  Ft.set_num_layers c (match layer with Some _ -> 1 | None -> Ft.num_layers ft);
+  c
+
+(* The snapshot serves exactly the active tables' paths. *)
+let check_snapshot_matches name (s : Fabric.Epoch.snapshot) =
+  let fresh =
+    match Ft.to_store s.Fabric.Epoch.tables with
+    | Ok st -> st
+    | Error msg -> Alcotest.failf "%s: active tables do not walk: %s" name msg
+  in
+  let st = s.Fabric.Epoch.store in
+  check Alcotest.int (name ^ ": capacity") (Rs.capacity fresh) (Rs.capacity st);
+  check Alcotest.int (name ^ ": num_paths") (Rs.num_paths fresh) (Rs.num_paths st);
+  check Alcotest.int (name ^ ": total_channels") (Rs.total_channels fresh) (Rs.total_channels st);
+  for pair = 0 to Rs.capacity fresh - 1 do
+    if Rs.mem fresh ~pair <> Rs.mem st ~pair
+       || (Rs.mem fresh ~pair && Rs.to_path fresh ~pair <> Rs.to_path st ~pair)
+    then Alcotest.failf "%s: snapshot path of pair %d differs from the active tables'" name pair
+  done;
+  check Alcotest.int (name ^ ": snapshot layers") (Ft.num_layers s.Fabric.Epoch.tables)
+    s.Fabric.Epoch.num_layers
+
+(* Offer one candidate to [epochs] and to the oracle: same verdict, same
+   refusal prefix, same report; an admitted candidate becomes the
+   snapshot, a refused one leaves the epoch exactly as it was. *)
+let gate_parity epochs name candidate =
+  let before = Fabric.Epoch.epoch epochs in
+  let snap_before = Result.to_option (Fabric.Epoch.snapshot epochs) in
+  let active_before = Fabric.Epoch.active epochs in
+  let expected = oracle_gate candidate in
+  let got, _ = Fabric.Epoch.try_swap epochs ~label:name candidate in
+  match (expected, got) with
+  | Ok r, Ok r' ->
+    check Alcotest.bool (name ^ ": same report") true (r = r');
+    check Alcotest.bool (name ^ ": stats match the list walk") true
+      (r'.Dfsssp.Verify.stats = oracle_stats candidate);
+    check Alcotest.int (name ^ ": epoch advanced") (before + 1) (Fabric.Epoch.epoch epochs);
+    let s = Result.get_ok (Fabric.Epoch.snapshot epochs) in
+    check Alcotest.int (name ^ ": snapshot epoch") (before + 1) s.Fabric.Epoch.snap_epoch;
+    check Alcotest.bool (name ^ ": snapshot serves the candidate") true (s.Fabric.Epoch.tables == candidate);
+    check_snapshot_matches name s
+  | Error e, Error e' ->
+    check Alcotest.string (name ^ ": refusal prefix") (prefix e) (prefix e');
+    check Alcotest.int (name ^ ": epoch kept") before (Fabric.Epoch.epoch epochs);
+    check Alcotest.bool (name ^ ": active kept") true
+      (match (active_before, Fabric.Epoch.active epochs) with
+      | Some a, Some b -> a == b
+      | None, None -> true
+      | _ -> false);
+    check Alcotest.bool (name ^ ": snapshot kept") true
+      (match (snap_before, Result.to_option (Fabric.Epoch.snapshot epochs)) with
+      | Some a, Some b -> a == b && a.Fabric.Epoch.store == b.Fabric.Epoch.store
+      | None, None -> true
+      | _ -> false)
+  | Ok _, Error e -> Alcotest.failf "%s: oracle admits, gate refuses: %s" name e
+  | Error e, Ok _ -> Alcotest.failf "%s: oracle refuses (%s), gate admits" name e
+
+(* Every registry algorithm that accepts the fabric, plus DFSSSP's
+   tables flattened onto one layer (cyclic wherever DFSSSP needed more),
+   through one epoch sequence. *)
+let gate_parity_on name g =
+  let epochs = Fabric.Epoch.create () in
+  List.iter
+    (fun (a : Dfsssp.Registry.algorithm) ->
+      match a.Dfsssp.Registry.run g with
+      | Error _ -> ()
+      | Ok ft ->
+        gate_parity epochs (name ^ "/" ^ a.Dfsssp.Registry.name) ft;
+        if a.Dfsssp.Registry.name = "dfsssp" then
+          gate_parity epochs (name ^ "/flattened") (copy_table ~layer:0 ft))
+    (Dfsssp.Registry.all ())
+
+let test_gate_parity_fig_fabrics () =
+  for t = 0 to 1 do
+    let rng = Rng.create ((7 * 10007) + (t * 31)) in
+    gate_parity_on (Printf.sprintf "fig9 random %d" t)
+      (Topo_random.make ~switches:32 ~switch_radix:16 ~terminals:64 ~inter_links:80 ~rng)
+  done;
+  List.iter
+    (fun (s : Clusters.system) -> gate_parity_on ("fig10 " ^ s.Clusters.name) s.Clusters.graph)
+    (Clusters.all ~scale:16 ())
+
+let test_gate_parity_zoo () =
+  let dir =
+    match Harness.Zoo.find_corpus_dir () with
+    | Some d -> d
+    | None -> Alcotest.fail "examples/zoo corpus not found"
+  in
+  List.iter
+    (fun spec ->
+      match Harness.Topospec.parse spec with
+      | Ok t -> gate_parity_on spec t.Harness.Topospec.graph
+      | Error msg -> Alcotest.failf "%s: %s" spec msg)
+    (Harness.Zoo.corpus_specs ~dir @ [ "jellyfish:14,8,5:7"; "xpander:4,5:11" ])
+
+(* The manager's candidates over a churn replay: after every event, the
+   tables the manager admitted and their one-layer flattening go through
+   a mirror epoch sequence, each compared with the oracle. *)
+let test_gate_parity_torus_replay () =
+  let g = fst (Topo_torus.torus ~dims:[| 8; 8 |] ~terminals_per_switch:4) in
+  let schedule = Fabric.Schedule.generate g ~rng:(Rng.create 3) ~events:14 () in
+  let mgr = Result.get_ok (Fabric.Manager.create g) in
+  let epochs = Fabric.Epoch.create () in
+  gate_parity epochs "initial" (copy_table (Fabric.Manager.tables mgr));
+  check_snapshot_matches "manager initial" (Result.get_ok (Fabric.Manager.snapshot mgr));
+  List.iteri
+    (fun i ev ->
+      let o = Fabric.Manager.apply mgr ev in
+      let name = Printf.sprintf "event %d (%s)" i (Fabric.Event.to_string ev) in
+      check Alcotest.bool (name ^ ": applied") true o.Fabric.Manager.applied;
+      let snap = Result.get_ok (Fabric.Manager.snapshot mgr) in
+      check Alcotest.int (name ^ ": manager snapshot is the live epoch") (Fabric.Manager.epoch mgr)
+        snap.Fabric.Epoch.snap_epoch;
+      check_snapshot_matches ("manager " ^ name) snap;
+      let ft = Fabric.Manager.tables mgr in
+      gate_parity epochs name (copy_table ft);
+      gate_parity epochs (name ^ " flattened") (copy_table ~layer:0 ft))
+    schedule
+
+(* A forwarding loop: two adjacent switches pointing at each other for
+   one destination. *)
+let looping_table () =
+  let g = torus [| 3; 3 |] in
+  let ft = copy_table (route_dfsssp g) in
+  let dst = (Graph.terminals g).(0) in
+  let home = (Graph.channel g (Graph.out_channels g dst).(0)).Channel.dst in
+  let a, b =
+    Array.to_list (Degrade.switch_cables g)
+    |> List.map (fun c -> ((Graph.channel g c).Channel.src, (Graph.channel g c).Channel.dst))
+    |> List.find (fun (a, b) -> a <> home && b <> home)
+  in
+  Ft.set_next ft ~node:a ~dst ~channel:(chan_between g a b);
+  Ft.set_next ft ~node:b ~dst ~channel:(chan_between g b a);
+  (g, ft)
+
+let expect_refusal epochs ~prefix:p name candidate =
+  let epoch = Fabric.Epoch.epoch epochs in
+  let active = Fabric.Epoch.active epochs in
+  let snap = Result.get_ok (Fabric.Epoch.snapshot epochs) in
+  (match Fabric.Epoch.try_swap epochs ~label:name candidate with
+  | Ok _, _ -> Alcotest.failf "%s: admitted" name
+  | Error msg, _ ->
+    if not (String.starts_with ~prefix:p msg) then Alcotest.failf "%s: refused as %S, want %s" name msg p);
+  check Alcotest.int (name ^ ": epoch kept") epoch (Fabric.Epoch.epoch epochs);
+  check Alcotest.bool (name ^ ": active kept") true
+    (match (active, Fabric.Epoch.active epochs) with Some a, Some b -> a == b | _ -> false);
+  let snap' = Result.get_ok (Fabric.Epoch.snapshot epochs) in
+  check Alcotest.int (name ^ ": snap_epoch kept") snap.Fabric.Epoch.snap_epoch snap'.Fabric.Epoch.snap_epoch;
+  check Alcotest.bool (name ^ ": same physical store") true (snap.Fabric.Epoch.store == snap'.Fabric.Epoch.store)
+
+let test_gate_fails_closed () =
+  let g, looping = looping_table () in
+  let epochs = Fabric.Epoch.create () in
+  check Alcotest.bool "no snapshot before the first epoch" true
+    (Result.is_error (Fabric.Epoch.snapshot epochs));
+  (match Fabric.Epoch.try_swap epochs ~label:"good" (route_dfsssp g) with
+  | Ok _, _ -> ()
+  | Error msg, _ -> Alcotest.failf "good tables refused: %s" msg);
+  expect_refusal epochs ~prefix:"incomplete routing:" "forwarding loop" looping;
+  (* a 4x4 torus needs two layers; on one, its CDG is cyclic *)
+  let cyclic = copy_table ~layer:0 (route_dfsssp (torus [| 4; 4 |])) in
+  check Alcotest.bool "the flattened torus is really cyclic" false (Dfsssp.Verify.deadlock_free cyclic);
+  expect_refusal epochs ~prefix:"certificate:" "cyclic layers" cyclic;
+  check Alcotest.int "only the good swap installed" 1 (List.length (Fabric.Epoch.history epochs))
+
+(* No gate consumer writes into the arena they share: the snapshot is
+   that arena, so a write would change what the epoch serves. *)
+let test_gate_store_read_only () =
+  let ft = route_dfsssp (torus [| 4; 4 |]) in
+  let store, layer_of_path = Result.get_ok (Analysis.Cert.artifacts_of_table ft) in
+  let shape () = (Rs.num_paths store, Rs.total_channels store, Array.copy (Rs.buffer store)) in
+  let before = shape () and layers_before = Array.copy layer_of_path in
+  let num_layers = Ft.num_layers ft in
+  check Alcotest.bool "certified" true
+    (Result.is_ok (Analysis.Analyzer.certify_store ~num_layers store ~layer_of_path));
+  check Alcotest.bool "verified" true
+    (Result.is_ok (Dfsssp.Verify.report_store ~num_layers store ~layer_of_path));
+  let n, c, buf = before and n', c', buf' = shape () in
+  check Alcotest.int "num_paths unchanged" n n';
+  check Alcotest.int "total_channels unchanged" c c';
+  check Alcotest.bool "arena unchanged" true (buf = buf');
+  check Alcotest.bool "layer assignment unchanged" true (layers_before = layer_of_path);
+  (* and through the gate itself: the installed snapshot still holds
+     what a fresh walk of the admitted tables holds *)
+  let epochs = Fabric.Epoch.create () in
+  ignore (Fabric.Epoch.try_swap epochs ~label:"initial" ft);
+  check_snapshot_matches "after the gate" (Result.get_ok (Fabric.Epoch.snapshot epochs))
+
+(* ------------------------------------------------------------------ *)
 (* Schedules                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -431,6 +710,14 @@ let () =
         [
           Alcotest.test_case "cached per epoch, immutable" `Quick test_snapshot_cached_per_epoch;
           Alcotest.test_case "shutdown idempotent, manager usable" `Quick test_shutdown_idempotent_and_usable;
+        ] );
+      ( "swap-gate",
+        [
+          Alcotest.test_case "parity: fig 9/10 fabrics" `Quick test_gate_parity_fig_fabrics;
+          Alcotest.test_case "parity: zoo sample" `Quick test_gate_parity_zoo;
+          Alcotest.test_case "parity: torus 8x8 replay" `Quick test_gate_parity_torus_replay;
+          Alcotest.test_case "fails closed" `Quick test_gate_fails_closed;
+          Alcotest.test_case "shared store read-only" `Quick test_gate_store_read_only;
         ] );
       ( "schedule",
         [

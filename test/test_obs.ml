@@ -340,7 +340,34 @@ let fabric_manage_path_traced () =
   List.iter
     (fun expected ->
       check Alcotest.bool (expected ^ " span present") true (List.mem expected names))
-    [ "fabric.apply"; "fabric.full_route"; "fabric.try_swap"; "sssp.route_destinations"; "layers.assign" ];
+    [
+      "fabric.apply";
+      "fabric.full_route";
+      "fabric.try_swap";
+      "fabric.materialise";
+      "sssp.route_destinations";
+      "layers.assign";
+    ];
+  (* the swap gate's one route walk is its own stage, inside the swap *)
+  let id_of_name name =
+    List.filter_map
+      (fun j ->
+        if Obs.Json.(member "name" j |> Option.get |> to_str) = Some name then
+          Obs.Json.(member "id" j |> Option.get |> to_int)
+        else None)
+      spans
+  in
+  let swaps = id_of_name "fabric.try_swap" in
+  List.iter
+    (fun j ->
+      if Obs.Json.(member "name" j |> Option.get |> to_str) = Some "fabric.materialise" then
+        check Alcotest.bool "materialise nests under try_swap" true
+          (match Obs.Json.member "parent" j with
+          | Some p -> (match Obs.Json.to_int p with Some pid -> List.mem pid swaps | None -> false)
+          | None -> false))
+    spans;
+  check Alcotest.int "one materialisation per swap attempt past the existence gate"
+    (List.length swaps) (List.length (id_of_name "fabric.materialise"));
   (* every span carries the flat record shape the sink promises *)
   List.iter
     (fun j ->
