@@ -1,4 +1,4 @@
-.PHONY: all check test lint doc clean bench-selfcheck bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke
+.PHONY: all check test lint doc clean examples bench-selfcheck bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke
 
 all:
 	dune build
@@ -12,10 +12,21 @@ all:
 # on a small torus (break-smoke), the topology-zoo conformance battery
 # certifies every corpus file and generator sample, a quick churn
 # soak (>= 200 seeded events) survives with every epoch recertified,
-# and the controller benchmark's self-check drives every benchmark path
-# on small fabrics.
+# the controller benchmark's self-check drives every benchmark path
+# on small fabrics, and the examples that claim deadlock freedom hold
+# their claims.
 check:
-	dune build && dune build --profile release && dune runtest && $(MAKE) lint && $(MAKE) analyze-examples && $(MAKE) kernel-equivalence && $(MAKE) break-smoke && $(MAKE) smoke-service && $(MAKE) zoo && $(MAKE) soak-smoke && $(MAKE) bench-selfcheck
+	dune build && dune build --profile release && dune runtest && $(MAKE) lint && $(MAKE) analyze-examples && $(MAKE) kernel-equivalence && $(MAKE) break-smoke && $(MAKE) smoke-service && $(MAKE) zoo && $(MAKE) soak-smoke && $(MAKE) bench-selfcheck && $(MAKE) examples
+
+# The examples that assert deadlock freedom, part of `check`: each exits
+# non-zero when its stated claim fails (quickstart: DFSSSP certified,
+# plain SSSP refused; ring_deadlock: the certifier refuses SSSP on the
+# ring and certifies DFSSSP; custom_topology: complete, certified
+# DFSSSP tables on the demo fabric). Each takes well under a second.
+examples:
+	dune exec examples/quickstart.exe
+	dune exec examples/ring_deadlock.exe
+	dune exec examples/custom_topology.exe
 
 # Controller benchmark self-check, part of `check` (perfbench/README.md):
 # builds perfbench/bench.exe and runs every workload path (cold builds,

@@ -1,7 +1,7 @@
 (* Command-line routing front end — the moral equivalent of running a
    routing engine inside OpenSM, but against generated or file-described
    fabrics: pick a topology and an algorithm, compute the forwarding
-   tables and virtual-lane assignment, verify deadlock-freedom, and
+   tables and virtual-lane assignment, certify deadlock-freedom, and
    optionally measure effective bisection bandwidth or export artefacts. *)
 
 open Cmdliner
@@ -46,8 +46,11 @@ let run verbose topology algorithm max_vls heuristic_name online balance ebb_pat
         Printf.eprintf "routing failed: %s\n" msg;
         1
       | Ok ft ->
-        (match Dfsssp.Verify.report ft with
-        | Ok r -> Format.printf "result: %a@." Dfsssp.Verify.pp_report r
+        (match Routing.Ftable.validate ft with
+        | Ok stats ->
+          Format.printf "result: %a layers=%d deadlock_free=%b@." Routing.Ftable.pp_stats stats
+            (Routing.Ftable.num_layers ft)
+            (Result.is_ok (Analysis.Analyzer.certify ft))
         | Error msg -> Format.printf "result: INVALID ROUTING (%s)@." msg);
         if ebb_patterns > 0 then begin
           let rng = Netgraph.Rng.create seed in
@@ -150,8 +153,8 @@ let cmd =
       `S Manpage.s_description;
       `P
         "Computes destination-based forwarding tables plus a virtual-lane assignment whose per-lane \
-         channel dependency graphs are acyclic (Domke, Hoefler, Nagel; IPDPS 2011), and verifies the \
-         result.";
+         channel dependency graphs are acyclic (Domke, Hoefler, Nagel; IPDPS 2011), and certifies the \
+         result with the trusted deadlock-freedom checker.";
       `S Manpage.s_examples;
       `Pre "  dfsssp_route -t torus:8x8:2 -a dfsssp --ebb 100\n  dfsssp_route -t cluster:deimos:4 -a lash\n  dfsssp_route -t file:fabric.txt --routes";
     ]

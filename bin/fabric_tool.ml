@@ -487,11 +487,11 @@ let manage_cmd =
           Format.printf "@.convergence report@.%a@." Fabric.Manager.pp_summary mgr;
           let code =
             if Fabric.Manager.converged mgr then begin
-              Format.printf "converged: every applied event ended in a verified table swap@.";
+              Format.printf "converged: every applied event ended in a certified table swap@.";
               0
             end
             else begin
-              Format.printf "NOT CONVERGED: some applied event left unverified tables@.";
+              Format.printf "NOT CONVERGED: some applied event left uncertified tables@.";
               1
             end
           in

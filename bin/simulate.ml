@@ -37,7 +37,7 @@ let run topology algorithm pattern_name engine bytes seed =
       1
     | Ok ft -> (
       Format.printf "routing: %s, %d virtual lane(s), deadlock-free: %b@." algorithm
-        (Routing.Ftable.num_layers ft) (Dfsssp.Verify.deadlock_free ft);
+        (Routing.Ftable.num_layers ft) (Result.is_ok (Analysis.Analyzer.certify ft));
       match pattern_flows pattern_name rng (Netgraph.Graph.terminals g) with
       | Error msg ->
         Printf.eprintf "%s\n" msg;

@@ -29,7 +29,7 @@ let () =
           let ebb =
             Simulator.Congestion.effective_bisection_bandwidth ~patterns:100 ~rng ft
           in
-          let deadlock_free = Dfsssp.Verify.deadlock_free ft in
+          let deadlock_free = Result.is_ok (Analysis.Analyzer.certify ft) in
           Format.printf "%-14s  %8.4f  %8.4f  %6d  %s@." alg.name
             ebb.Simulator.Congestion.samples.Simulator.Metrics.mean
             ebb.Simulator.Congestion.worst_pair (Routing.Ftable.num_layers ft)

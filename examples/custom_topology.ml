@@ -1,7 +1,9 @@
 (* Route a user-supplied fabric: read the plain-text topology format
    (switch / terminal / link lines — the shape OpenSM would discover),
    route it with a chosen algorithm, print per-route diagnostics, and
-   export Graphviz for visual inspection.
+   export Graphviz for visual inspection. Exits non-zero when the tables
+   are incomplete, or when an algorithm that promises deadlock freedom
+   produced tables the certifier refuses.
 
    Run with:
      dune exec examples/custom_topology.exe               (built-in demo fabric)
@@ -66,11 +68,18 @@ let () =
         Printf.eprintf "%s refused this fabric: %s\n" alg.Dfsssp.Registry.name msg;
         exit 1
       | Ok ft ->
-        (match Dfsssp.Verify.report ft with
-        | Ok r -> Format.printf "%s: %a@." alg.Dfsssp.Registry.name Dfsssp.Verify.pp_report r
+        (match Routing.Ftable.validate ft with
+        | Ok stats ->
+          Format.printf "%s: %a layers=%d@." alg.Dfsssp.Registry.name Routing.Ftable.pp_stats stats
+            (Routing.Ftable.num_layers ft)
         | Error msg ->
-          Printf.eprintf "verification failed: %s\n" msg;
+          Printf.eprintf "validation failed: %s\n" msg;
           exit 1);
+        (match Analysis.Analyzer.certify ft with
+        | Ok _ -> Format.printf "certified deadlock-free@."
+        | Error msg ->
+          Format.printf "not certified: %s@." msg;
+          if alg.Dfsssp.Registry.deadlock_free_by_design then exit 1);
         (* per-pair route listing for small fabrics *)
         let terminals = Graph.terminals fabric in
         if Array.length terminals <= 8 then begin

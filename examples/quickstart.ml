@@ -1,5 +1,7 @@
 (* Quickstart: build a small irregular fabric, route it deadlock-free with
-   DFSSSP, inspect the result, and verify the deadlock-freedom guarantee.
+   DFSSSP, inspect the result, and certify the deadlock-freedom guarantee.
+   Exits non-zero unless the DFSSSP tables are certified and plain SSSP's
+   are refused.
 
    Run with:  dune exec examples/quickstart.exe *)
 
@@ -31,18 +33,30 @@ let () =
         (Routing.Ftable.layer tables ~src ~dst)
     | None -> assert false);
 
-    (* 4. Verify end to end: route completeness, minimality, and per-lane
-       channel-dependency-graph acyclicity (Dally & Seitz's condition). *)
-    (match Dfsssp.Verify.report tables with
-    | Ok r -> Format.printf "verification: %a@." Dfsssp.Verify.pp_report r
+    (* 4. Check end to end: route completeness and minimality, then the
+       deadlock-freedom certificate — a topological order of every lane's
+       channel dependency graph (Dally & Seitz's condition), validated by
+       the trusted checker. *)
+    (match Routing.Ftable.validate tables with
+    | Ok stats -> Format.printf "routes: %a@." Routing.Ftable.pp_stats stats
     | Error e ->
       prerr_endline e;
+      exit 1);
+    (match Analysis.Analyzer.certify tables with
+    | Ok cert -> Format.printf "certified deadlock-free on %d lane(s)@." (Analysis.Cert.num_layers cert)
+    | Error e ->
+      prerr_endline ("not certified: " ^ e);
       exit 1);
 
     (* 5. Contrast with plain SSSP: same routes, but the single-lane
        dependency graph is cyclic — a deadlock waiting to happen. *)
-    (match Routing.Sssp.route fabric with
-    | Ok sssp ->
-      Format.printf "plain SSSP on the same fabric deadlock-free? %b@."
-        (Dfsssp.Verify.deadlock_free sssp)
-    | Error _ -> ())
+    match Routing.Sssp.route fabric with
+    | Error e ->
+      prerr_endline e;
+      exit 1
+    | Ok sssp -> (
+      match Analysis.Analyzer.certify sssp with
+      | Error e -> Format.printf "plain SSSP on the same fabric is refused: %s@." e
+      | Ok _ ->
+        prerr_endline "plain SSSP was certified on a fabric it cannot route safely";
+        exit 1)

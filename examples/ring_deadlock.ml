@@ -2,16 +2,20 @@
    the node two hops clockwise, SSSP routes every message clockwise and
    the buffer dependency cycle wedges the network. The packet-level
    simulator reproduces the deadlock; DFSSSP's virtual-lane assignment
-   dissolves it on the same fabric with the same routes.
+   dissolves it on the same fabric with the same routes. Exits non-zero
+   unless the certifier refuses SSSP's tables and certifies DFSSSP's.
 
    Run with:  dune exec examples/ring_deadlock.exe *)
 
 open Netgraph
 
+(* Prints the certifier's verdict; [true] iff the tables are certified. *)
 let describe_cdg name ft =
-  let cyclic = not (Dfsssp.Verify.deadlock_free ft) in
+  let certified = Result.is_ok (Analysis.Analyzer.certify ft) in
   Format.printf "  %-8s channel dependency graph %s@." name
-    (if cyclic then "has a cycle (deadlock possible)" else "is acyclic per lane (deadlock-free)")
+    (if certified then "is acyclic per lane (certified deadlock-free)"
+     else "has a cycle (deadlock possible)");
+  certified
 
 let simulate name ft ~num_vls ~flows =
   let config = { Simulator.Flitsim.default_config with num_vls; buffer_slots = 2 } in
@@ -31,16 +35,20 @@ let () =
     | Ok ft -> ft
     | Error e -> failwith e
   in
-  describe_cdg "SSSP" sssp;
+  let sssp_certified = describe_cdg "SSSP" sssp in
   let dfsssp =
     match Dfsssp.route ring with
     | Ok ft -> ft
     | Error e -> failwith (Dfsssp.error_to_string e)
   in
-  describe_cdg "DFSSSP" dfsssp;
+  let dfsssp_certified = describe_cdg "DFSSSP" dfsssp in
   Format.printf "  DFSSSP uses %d virtual lanes@.@." (Routing.Ftable.num_layers dfsssp);
 
   Format.printf "packet-level simulation (2 buffer slots per lane):@.";
   simulate "SSSP" sssp ~num_vls:1 ~flows;
   simulate "DFSSSP" dfsssp ~num_vls:8 ~flows;
-  Format.printf "@.same routes, same fabric - only the lane assignment differs.@."
+  Format.printf "@.same routes, same fabric - only the lane assignment differs.@.";
+  if sssp_certified || not dfsssp_certified then begin
+    prerr_endline "unexpected verdict: SSSP must be refused and DFSSSP certified";
+    exit 1
+  end

@@ -1,5 +1,4 @@
 include Router
-module Verify = Verify
 module Registry = Registry
 module Multipath = Multipath
 (* The route arena lives in lib/cdg (the CDG layers sit below routing in

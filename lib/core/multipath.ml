@@ -86,4 +86,6 @@ let deadlock_free t =
   Route_store.iter_pairs store (fun pair ->
       let plane, src, dst = decode_pair t.planes pair in
       layer_of_path.(pair) <- Routing.Ftable.layer t.planes.(plane) ~src ~dst);
-  Acyclic.layers_acyclic_store store ~layer_of_path ~num_layers:t.num_layers
+  match Analysis.Cert.of_store ~num_layers:t.num_layers store ~layer_of_path with
+  | Error _ -> false
+  | Ok cert -> Result.is_ok (Analysis.Cert.check cert store ~layer_of_path)

@@ -37,6 +37,7 @@ val path : t -> plane:int -> src:int -> dst:int -> Path.t option
     chosen routes — ready for {!Simulator.Congestion.evaluate_paths}. *)
 val spread_paths : t -> flows:(int * int) array -> Path.t array
 
-(** Joint deadlock-freedom over all planes' routes (verification hook;
-    [route] already guarantees it). *)
+(** Joint deadlock-freedom over all planes' routes, certified by the
+    trusted checker ({!Analysis.Cert}) on their combined store
+    (verification hook; [route] already guarantees it). *)
 val deadlock_free : t -> bool

@@ -45,8 +45,8 @@ val error_to_string : error -> string
       (default {!Routing.Spf.Auto}; DESIGN.md §15). Never changes the
       tables.
 
-    The result carries per-route layers; {!Verify.deadlock_free} holds on
-    every successful result. *)
+    The result carries per-route layers; every successful result carries
+    a deadlock-freedom certificate ({!Analysis.Analyzer.certify}). *)
 val route :
   ?variant:variant ->
   ?engine:Layers.engine ->

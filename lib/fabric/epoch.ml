@@ -4,11 +4,17 @@ type entry = {
   verify_s : float;
 }
 
+type verdict = {
+  stats : Ftable.stats;
+  certified_layers : int;
+}
+
 type snapshot = {
   snap_epoch : int;
   tables : Ftable.t;
   store : Route_store.t;
   num_layers : int;
+  verdict : verdict;
 }
 
 type t = {
@@ -75,31 +81,26 @@ let try_swap t ~label candidate =
            (Ftable.num_layers candidate) ex.Analysis.Existence.min_layers_lb),
       elapsed () )
   else
-  (* One walk of the candidate's routes: the certificate, the verifier
-     and (on success) the epoch's snapshot all read this one arena, and
-     none writes to it. *)
+  (* One walk of the candidate's routes: the certificate, the stats and
+     (on success) the epoch's snapshot all read this one arena, and none
+     writes to it. *)
   match materialise candidate with
   | Error msg -> (Error (Printf.sprintf "incomplete routing: %s" msg), elapsed ())
   | Ok (store, layer_of_path) -> (
     let num_layers = Ftable.num_layers candidate in
-    (* The independent certificate gate runs next: the trusted checker in
-       lib/analysis must accept a topological witness for every layer
-       before the (construction-side) verifier is even consulted. A table
-       the checker cannot certify never goes live, whatever the code that
-       built it believes. *)
+    (* The one deadlock proof: the trusted checker in lib/analysis must
+       accept a topological witness for every layer. A table it cannot
+       certify never goes live, whatever the code that built it
+       believes. *)
     match Analysis.Analyzer.certify_store ~num_layers store ~layer_of_path with
     | Error msg -> (Error (Printf.sprintf "certificate: %s" msg), elapsed ())
-    | Ok _cert -> (
-      let verdict = Dfsssp.Verify.report_store ~num_layers store ~layer_of_path in
-      let verify_s = elapsed () in
-      match verdict with
-      | Error msg -> (Error (Printf.sprintf "incomplete routing: %s" msg), verify_s)
-      | Ok r ->
-        if not r.Dfsssp.Verify.deadlock_free then
-          (Error "candidate tables are not deadlock-free", verify_s)
-        else begin
-          t.epoch <- t.epoch + 1;
-          t.snap <- Some { snap_epoch = t.epoch; tables = candidate; store; num_layers };
-          t.entries <- { epoch = t.epoch; label; verify_s } :: t.entries;
-          (Ok r, verify_s)
-        end))
+    | Ok cert -> (
+      match Ftable.validate_store store with
+      | Error msg -> (Error (Printf.sprintf "incomplete routing: %s" msg), elapsed ())
+      | Ok stats ->
+        let verify_s = elapsed () in
+        let verdict = { stats; certified_layers = Analysis.Cert.num_layers cert } in
+        t.epoch <- t.epoch + 1;
+        t.snap <- Some { snap_epoch = t.epoch; tables = candidate; store; num_layers; verdict };
+        t.entries <- { epoch = t.epoch; label; verify_s } :: t.entries;
+        (Ok verdict, verify_s)))

@@ -1,17 +1,18 @@
-(** Epoch-based verified table swaps — the manager's safety gate. The
-    active forwarding tables only ever advance to a candidate that (1)
-    carries a deadlock-freedom certificate accepted by the trusted
-    checker ({!Analysis.Analyzer.certify_store} — a per-layer
-    topological witness validated independently of every piece of
-    construction code) and (2) passed the full verifier
-    ({!Dfsssp.Verify.report_store}: completeness over every terminal
-    pair, per-layer CDG acyclicity). Both read one arena of the
-    candidate's routes, walked once per swap by the analysis side's own
-    {!Analysis.Cert.artifacts_of_table}; on success the same arena
-    becomes the epoch's {!snapshot}. A rejected candidate leaves the
-    active epoch and its snapshot untouched, exactly like a subnet
-    manager that keeps serving the old LFTs until the new ones check
-    out. *)
+(** Epoch-based certified table swaps — the manager's safety gate. The
+    active forwarding tables only ever advance to a candidate whose
+    fabric admits its layer budget ({!Analysis.Existence}), whose every
+    terminal pair has a loop-free route, and which carries a
+    deadlock-freedom certificate accepted by the trusted checker
+    ({!Analysis.Analyzer.certify_store} — a per-layer topological
+    witness validated independently of every piece of construction
+    code). The certificate is the gate's one deadlock proof. The checks
+    read one arena of the candidate's routes, walked once per swap by
+    the analysis side's own {!Analysis.Cert.artifacts_of_table}, from
+    which {!Ftable.validate_store} also takes the hop statistics; on
+    success the same arena becomes the epoch's {!snapshot}. A rejected
+    candidate leaves the active epoch and its snapshot untouched,
+    exactly like a subnet manager that keeps serving the old LFTs until
+    the new ones check out. *)
 
 type entry = {
   epoch : int;
@@ -19,7 +20,13 @@ type entry = {
   verify_s : float;
 }
 
-(** A read-only export of one epoch's routing state: the verified tables
+(** What the gate recorded about an admitted candidate. *)
+type verdict = {
+  stats : Ftable.stats;  (** hop statistics over every routed pair *)
+  certified_layers : int;  (** layers the accepted certificate covers *)
+}
+
+(** A read-only export of one epoch's routing state: the certified tables
     plus their routes materialized once into a {!Route_store} arena, so
     route queries resolve as O(1) slices of a flat buffer with no
     per-query path allocation. The arena is the one the swap gate
@@ -33,6 +40,7 @@ type snapshot = {
   tables : Ftable.t;  (** the tables this epoch serves *)
   store : Route_store.t;  (** every ordered terminal pair's path, arena form *)
   num_layers : int;  (** layer count of [tables] at snapshot time *)
+  verdict : verdict;  (** the gate's record of this epoch's tables *)
 }
 
 type t
@@ -55,13 +63,12 @@ val history : t -> entry list
 val snapshot : t -> (snapshot, string) result
 
 (** [try_swap t ~label candidate] materializes [candidate]'s routes
-    once (timer and span [fabric.materialise]), certifies and verifies
-    them and, on success, installs the candidate and that arena as the
-    next epoch and its snapshot. Always returns the gate's wall time,
+    once (timer and span [fabric.materialise]), certifies them, collects
+    their hop statistics and, on success, installs the candidate and
+    that arena as the next epoch and its snapshot. Always returns the gate's wall time,
     materialization included; [Error] means the active tables and
     snapshot were kept. Refusals are prefixed by the gate that made
     them: ["existence:"] (layer budget below the fabric's provable
     minimum), ["incomplete routing:"] (some pair has no loop-free route),
     ["certificate:"] (the trusted checker found no witness). *)
-val try_swap :
-  t -> label:string -> Ftable.t -> (Dfsssp.Verify.report, string) result * float
+val try_swap : t -> label:string -> Ftable.t -> (verdict, string) result * float

@@ -39,7 +39,7 @@ type outcome = {
   action : action;
   fallback : bool;
   epoch : int;
-  verify : Dfsssp.Verify.report option;
+  verify : Epoch.verdict option;
   table_diff : Ftable.diff option;
   note : string;
   elapsed_s : float;
@@ -368,20 +368,20 @@ let pp_outcome ppf o =
   Format.fprintf ppf ", epoch %d" o.epoch;
   (match o.verify with
   | Some r ->
-    Format.fprintf ppf ", %d layer(s), verified deadlock-free%s" r.Dfsssp.Verify.num_layers
-      (if r.Dfsssp.Verify.stats.Ftable.minimal then "" else " (detours)")
+    Format.fprintf ppf ", %d layer(s), certified deadlock-free%s" r.Epoch.certified_layers
+      (if r.Epoch.stats.Ftable.minimal then "" else " (detours)")
   | None -> ());
   if o.note <> "" then Format.fprintf ppf " — %s" o.note
 
 let pp_summary ppf t =
   Format.fprintf ppf "@[<v>%a@," Metrics.pp t.metrics;
   Format.fprintf ppf "fabric: %a@," Graph.pp_stats (graph t);
-  (match Epoch.active t.epochs with
-  | None -> Format.fprintf ppf "no active tables@]"
-  | Some ft ->
-    (match Dfsssp.Verify.report ft with
-    | Ok r -> Format.fprintf ppf "active tables: %a@]" Dfsssp.Verify.pp_report r
-    | Error msg -> Format.fprintf ppf "active tables: INVALID (%s)@]" msg))
+  match Epoch.snapshot t.epochs with
+  | Error _ -> Format.fprintf ppf "no active tables@]"
+  | Ok s ->
+    Format.fprintf ppf "active tables: epoch %d, %a layers=%d paths=%d, certified deadlock-free@]"
+      s.Epoch.snap_epoch Ftable.pp_stats s.Epoch.verdict.Epoch.stats
+      s.Epoch.verdict.Epoch.certified_layers (Route_store.num_paths s.Epoch.store)
 
 let converged t =
   List.for_all

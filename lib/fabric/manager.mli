@@ -1,13 +1,13 @@
 (** The live fabric manager: an event-driven subnet-manager loop that owns
     a running fabric and its routing state, the way OpenSM owns an
     InfiniBand subnet. Feed it {!Event}s (or a whole {!Schedule}) and it
-    converges after each one to forwarding tables that passed the full
-    deadlock-freedom verifier, preferring {e incremental} repair —
+    converges after each one to forwarding tables that carry a
+    deadlock-freedom certificate, preferring {e incremental} repair —
     recompute only the destinations whose forwarding trees the event
     touched ({!Repair}) — and falling back to a full
     SSSP-plus-cycle-breaking recompute when the incremental path exceeds
-    its budgets or its candidate fails verification. Tables advance by
-    verified epoch swaps ({!Epoch}); {!Metrics} counts everything. *)
+    its budgets or its candidate fails the swap gate. Tables advance by
+    certified epoch swaps ({!Epoch}); {!Metrics} counts everything. *)
 
 type config = {
   algorithm : string;
@@ -61,9 +61,9 @@ type outcome = {
   action : action;
   fallback : bool;  (** incremental was attempted and abandoned *)
   epoch : int;  (** active epoch after the event *)
-  verify : Dfsssp.Verify.report option;
-      (** verification report of the swapped-in tables; [None] when no
-          swap happened (rejected event, no-op, or a failed recompute
+  verify : Epoch.verdict option;
+      (** the swap gate's verdict on the swapped-in tables (certified
+          layer count and hop stats); [None] when no swap happened (rejected event, no-op, or a failed recompute
           that left stale tables active — see [note]) *)
   table_diff : Ftable.diff option;
       (** forwarding-entry diff against the previous tables; [None]
@@ -85,7 +85,7 @@ val config : t -> config
 (** The fabric as the manager currently sees it. *)
 val graph : t -> Graph.t
 
-(** The active (last verified) forwarding tables. *)
+(** The active (last certified) forwarding tables. *)
 val tables : t -> Ftable.t
 
 val metrics : t -> Metrics.t
@@ -96,7 +96,7 @@ val epoch_history : t -> Epoch.entry list
 val event_log : t -> outcome list
 
 (** [apply t ev] processes one topology event end to end: mutate the
-    topology, repair or recompute routes, verify, swap. Never raises on
+    topology, repair or recompute routes, certify, swap. Never raises on
     fabric-level failures — inspect the outcome. *)
 val apply : t -> Event.t -> outcome
 
@@ -104,7 +104,7 @@ val apply : t -> Event.t -> outcome
 val run : t -> Schedule.t -> outcome list
 
 (** [converged t] is [true] iff every applied, table-changing event so
-    far ended in a verified swap (the convergence criterion of
+    far ended in a certified swap (the convergence criterion of
     [fabric_tool manage]). *)
 val converged : t -> bool
 
@@ -126,5 +126,6 @@ val shutdown : t -> unit
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-(** Metrics, fabric stats and a fresh verification of the active tables. *)
+(** Metrics, fabric stats and what the active epoch's swap gate
+    recorded (certified layers, hop stats, paths); re-walks nothing. *)
 val pp_summary : Format.formatter -> t -> unit

@@ -35,9 +35,9 @@ let create () =
     dsts_repaired = counter "fabric.dsts_repaired" "destinations recomputed, incremental events only";
     dsts_total = counter "fabric.dsts_total" "destinations present, summed over incremental events";
     swap_epochs = counter "fabric.swap_epochs" "epoch counter after the latest swap";
-    verify_failures = counter "fabric.verify_failures" "candidate tables rejected by the verifier";
+    verify_failures = counter "fabric.verify_failures" "candidate tables rejected by the swap gate";
     repair = timer "fabric.repair" "seconds computing routes/layers";
-    verify = timer "fabric.verify" "seconds in the swap gate (materialise, certificate, verifier)";
+    verify = timer "fabric.verify" "seconds in the swap gate (materialise, certificate, stats)";
   }
 
 let registry m = m.registry

@@ -12,13 +12,13 @@ type t = {
   full_recomputes : Obs.Counter.t;  (** events settled by full reroute *)
   fallbacks : Obs.Counter.t;
       (** incremental attempts abandoned for a full recompute (layer
-          budget exhausted or verification rejected the candidate) *)
+          budget exhausted or the swap gate rejected the candidate) *)
   dsts_repaired : Obs.Counter.t;  (** destinations recomputed, incremental events only *)
   dsts_total : Obs.Counter.t;  (** destinations present, summed over incremental events *)
   swap_epochs : Obs.Counter.t;  (** gauge: epoch counter after the latest swap *)
-  verify_failures : Obs.Counter.t;  (** candidate tables rejected by the verifier *)
+  verify_failures : Obs.Counter.t;  (** candidate tables rejected by the swap gate *)
   repair : Obs.Timer.t;  (** seconds spent computing routes/layers *)
-  verify : Obs.Timer.t;  (** seconds spent in the certificate + verifier gates *)
+  verify : Obs.Timer.t;  (** seconds in the swap gate (materialise, certificate, stats) *)
 }
 
 val create : unit -> t

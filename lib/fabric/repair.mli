@@ -12,8 +12,8 @@
       the layers the new routes actually touch.
 
     Every patched table still goes through the full swap gate
-    ({!Epoch.try_swap}: certificate and verifier) before the manager
-    swaps it in. *)
+    ({!Epoch.try_swap}: existence, completeness, certificate) before the
+    manager swaps it in. *)
 
 (** [affected_destinations ft ~channels] is the terminals whose forwarding
     tree in [ft] uses any channel in [channels] — the destinations that

@@ -16,7 +16,7 @@ let specialist_cell ?coords name g =
   match Runs.run_named ?coords name g with
   | Error _ -> Report.Str "refused"
   | Ok ft ->
-    if Dfsssp.Verify.deadlock_free ft then
+    if Result.is_ok (Analysis.Analyzer.certify ft) then
       match Ftable.validate ft with
       | Ok s when s.Ftable.minimal -> Report.Str "ok"
       | Ok _ -> Report.Str "ok (detours)"

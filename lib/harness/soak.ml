@@ -101,20 +101,16 @@ let run_one ?config ?switch_removals ?drains ?(artifact_dir = Filename.concat "_
                         | Fabric.Manager.Incremental _ -> incr incremental
                         | Fabric.Manager.Full _ -> incr full
                         | Fabric.Manager.Noop -> ());
-                        (match (o.Fabric.Manager.action, o.Fabric.Manager.verify) with
-                        | Fabric.Manager.Noop, _ -> ()
-                        | _, Some v ->
-                          if not v.Dfsssp.Verify.deadlock_free then
-                            fail "%s: swapped tables not deadlock-free" tag
-                        | _, None ->
-                          fail "%s: no verified swap (%s)" tag o.Fabric.Manager.note)
+                        if o.Fabric.Manager.action <> Fabric.Manager.Noop && o.Fabric.Manager.verify = None
+                        then fail "%s: no certified swap (%s)" tag o.Fabric.Manager.note
                       end;
                       let epoch = Fabric.Manager.epoch m in
                       if epoch <> !prev_epoch then begin
                         incr swaps;
                         prev_epoch := epoch;
                         (* Independent recertification on every swap: the
-                           trusted checker, not the manager's verifier. *)
+                           trusted checker run again on the live tables,
+                           outside the manager's gate. *)
                         match Analysis.Analyzer.certify (Fabric.Manager.tables m) with
                         | Ok _ -> ()
                         | Error msg -> fail "%s: epoch %d recertification: %s" tag epoch msg

@@ -3,11 +3,11 @@
     ({!Fabric.Schedule.generate}), and re-verify invariants after every
     event:
 
-    - an applied, table-changing event must end in a verified epoch swap
-      whose {!Dfsssp.Verify} report says deadlock-free;
+    - an applied, table-changing event must end in a certified epoch
+      swap;
     - on every epoch swap the active tables must re-certify under the
-      trusted checker ({!Analysis.Analyzer.certify}) — the independent
-      gate, not the manager's own verifier;
+      trusted checker ({!Analysis.Analyzer.certify}), run independently
+      of the manager's own gate;
     - the manager must report {!Fabric.Manager.converged} at the end,
       and the final tables must pass the full analyzer.
 
@@ -22,7 +22,7 @@ type result = {
   seed : int;
   scheduled : int;  (** events in the generated schedule *)
   applied : int;  (** events the manager accepted *)
-  swaps : int;  (** verified epoch swaps *)
+  swaps : int;  (** certified epoch swaps *)
   incremental : int;  (** events served by incremental repair *)
   full : int;  (** events served by full recompute *)
   failures : string list;  (** invariant violations; empty means pass *)

@@ -201,7 +201,3 @@ let init ?(domains = 1) n f =
   end
 
 let map_array ?domains f a = init ?domains (Array.length a) (fun i -> f a.(i))
-
-let for_all ?domains f a =
-  let results = map_array ?domains f a in
-  Array.for_all Fun.id results

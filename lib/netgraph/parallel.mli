@@ -1,7 +1,6 @@
 (** Fork-join helpers over OCaml 5 domains for the embarrassingly parallel
     parts of the pipeline — effective-bisection-bandwidth sampling
-    (independent random matchings) and per-layer verification (independent
-    channel dependency graphs). Work functions must be pure with respect
+    (independent random matchings) among them. Work functions must be pure with respect
     to shared state: they may read the immutable fabric and routing
     tables, and must not touch shared mutable structures. *)
 
@@ -18,10 +17,6 @@ val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 
 (** [init ~domains n f] is [Array.init n f], parallelised the same way. *)
 val init : ?domains:int -> int -> (int -> 'a) -> 'a array
-
-(** [for_all ~domains f a] evaluates [f] on every element (no
-    short-circuit across chunks) and conjoins. *)
-val for_all : ?domains:int -> ('a -> bool) -> 'a array -> bool
 
 (** Persistent worker pool with per-domain scratch state — the substrate
     of the domain-parallel routing pipeline (DESIGN.md section 12).

@@ -178,11 +178,11 @@ let test_cdg_successors () =
 let test_acyclic_detects () =
   let g, paths = ring_fixture 5 in
   let cdg = Cdg.create g in
-  Alcotest.(check bool) "empty acyclic" true (Acyclic.is_acyclic cdg);
+  Alcotest.(check bool) "empty acyclic" true (Oracle.Acyclic.is_acyclic cdg);
   Cdg.add_path cdg ~pair:0 paths.(0);
-  Alcotest.(check bool) "one path acyclic" true (Acyclic.is_acyclic cdg);
+  Alcotest.(check bool) "one path acyclic" true (Oracle.Acyclic.is_acyclic cdg);
   Array.iteri (fun i p -> if i > 0 then Cdg.add_path cdg ~pair:i p) paths;
-  Alcotest.(check bool) "ring pattern cyclic" false (Acyclic.is_acyclic cdg)
+  Alcotest.(check bool) "ring pattern cyclic" false (Oracle.Acyclic.is_acyclic cdg)
 
 let test_cycle_finds_and_resumes () =
   let g, paths = ring_fixture 5 in
@@ -212,7 +212,7 @@ let test_cycle_finds_and_resumes () =
   (match Cycle.find_cycle search with
   | None -> ()
   | Some _ -> Alcotest.fail "cycle should be gone");
-  Alcotest.(check bool) "kahn agrees" true (Acyclic.is_acyclic cdg)
+  Alcotest.(check bool) "kahn agrees" true (Oracle.Acyclic.is_acyclic cdg)
 
 let test_cycle_none_on_acyclic () =
   let g, paths = ring_fixture 6 in
@@ -224,7 +224,7 @@ let test_cycle_none_on_acyclic () =
   (match Cycle.find_cycle search with
   | None -> ()
   | Some _ -> Alcotest.fail "no cycle expected");
-  Alcotest.(check bool) "kahn agrees" true (Acyclic.is_acyclic cdg)
+  Alcotest.(check bool) "kahn agrees" true (Oracle.Acyclic.is_acyclic cdg)
 
 let test_cycle_repeated_call_stable () =
   let g, paths = ring_fixture 5 in
@@ -278,7 +278,7 @@ let test_layers_ring () =
     check Alcotest.int "two layers suffice" 2 outcome.Layers.layers_used;
     Alcotest.(check bool) "broke at least one cycle" true (outcome.Layers.cycles_broken >= 1);
     Alcotest.(check bool) "all layers acyclic" true
-      (Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
+      (Oracle.Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
          ~num_layers:outcome.Layers.layers_used)
 
 let test_layers_budget_exhausted () =
@@ -311,7 +311,7 @@ let test_layers_balance () =
     check Alcotest.int "uses all layers" 8 in_use;
     (* balanced layers must still be acyclic *)
     Alcotest.(check bool) "balanced acyclic" true
-      (Acyclic.layers_acyclic g ~paths ~layer_of_path:balanced ~num_layers:8);
+      (Oracle.Acyclic.layers_acyclic g ~paths ~layer_of_path:balanced ~num_layers:8);
     (* balance must not mix original layers inside one new layer *)
     let origin = Array.make 8 (-1) in
     Array.iteri
@@ -341,7 +341,7 @@ let heuristics_all_sound_qcheck =
             match Layers.assign g ~paths ~max_layers:16 ~heuristic:h with
             | Error _ -> false
             | Ok outcome ->
-              Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
+              Oracle.Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
                 ~num_layers:outcome.Layers.layers_used)
           Heuristic.all)
 
@@ -401,7 +401,7 @@ let test_layers_ring_both_engines () =
         Alcotest.(check bool)
           (name ^ ": acyclic layers")
           true
-          (Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
+          (Oracle.Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
              ~num_layers:outcome.Layers.layers_used))
     engines
 
@@ -460,7 +460,7 @@ let engines_agree_qcheck =
           | Error _ -> None
           | Ok o ->
             if
-              Acyclic.layers_acyclic g ~paths ~layer_of_path:o.Layers.layer_of_path
+              Oracle.Acyclic.layers_acyclic g ~paths ~layer_of_path:o.Layers.layer_of_path
                 ~num_layers:o.Layers.layers_used
             then Some o.Layers.layers_used
             else None
@@ -481,7 +481,7 @@ let test_online_ring () =
     check Alcotest.int "two layers" 2 outcome.Online.layers_used;
     Alcotest.(check bool) "ran checks" true (outcome.Online.cycle_checks > 0);
     Alcotest.(check bool) "acyclic layers" true
-      (Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
+      (Oracle.Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
          ~num_layers:outcome.Online.layers_used)
 
 let test_online_budget () =
@@ -504,7 +504,7 @@ let online_matches_offline_soundness_qcheck =
         (match Online.assign g ~paths ~max_layers:16 with
         | Error _ -> false
         | Ok outcome ->
-          Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
+          Oracle.Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
             ~num_layers:outcome.Online.layers_used))
 
 (* ------------------------------------------------------------------ *)
@@ -546,7 +546,7 @@ let pk_matches_dfs_qcheck =
         | Ok a, Ok b ->
           a.Online.layer_of_path = b.Online.layer_of_path
           && a.Online.layers_used = b.Online.layers_used
-          && Acyclic.layers_acyclic g ~paths ~layer_of_path:b.Online.layer_of_path
+          && Oracle.Acyclic.layers_acyclic g ~paths ~layer_of_path:b.Online.layer_of_path
                ~num_layers:b.Online.layers_used
         | Error _, Error _ -> true
         | _ -> false))
@@ -572,12 +572,12 @@ let pk_order_invariant_qcheck =
             Cdg.add_path cdg ~pair:0 fake;
             if Pk_order.insert pk ~c1 ~c2 then begin
               (* accepted: the CDG must indeed be acyclic *)
-              if not (Acyclic.is_acyclic cdg) then ok := false
+              if not (Oracle.Acyclic.is_acyclic cdg) then ok := false
             end
             else begin
               (* rejected: removing it must leave an acyclic CDG, and
                  keeping it would have been cyclic *)
-              if Acyclic.is_acyclic cdg then ok := false;
+              if Oracle.Acyclic.is_acyclic cdg then ok := false;
               Cdg.remove_path cdg ~pair:0 fake
             end;
             if not (Pk_order.consistent pk) then ok := false

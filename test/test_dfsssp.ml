@@ -1,6 +1,7 @@
 (* End-to-end tests for the DFSSSP core library: deadlock-freedom with
-   minimal SSSP routes on every topology class, the verifier, and the
-   algorithm registry. *)
+   minimal SSSP routes on every topology class (certified by the trusted
+   checker), the certifier against the Kahn oracle, and the algorithm
+   registry. *)
 
 let check = Alcotest.check
 
@@ -10,10 +11,12 @@ let expect label = function
   | Ok x -> x
   | Error e -> Alcotest.failf "%s: %s" label (Dfsssp.error_to_string e)
 
-let report label ft =
-  match Dfsssp.Verify.report ft with
-  | Ok r -> r
+let stats label ft =
+  match Routing.Ftable.validate ft with
+  | Ok s -> s
   | Error e -> Alcotest.failf "%s: %s" label e
+
+let certified ft = Result.is_ok (Analysis.Analyzer.certify ft)
 
 let fixtures =
   lazy
@@ -34,13 +37,15 @@ let test_deadlock_free_everywhere () =
   List.iter
     (fun (name, g) ->
       let ft = expect name (Dfsssp.route g) in
-      let r = report name ft in
-      Alcotest.(check bool) (name ^ " deadlock free") true r.Dfsssp.Verify.deadlock_free;
-      Alcotest.(check bool) (name ^ " minimal") true r.Dfsssp.Verify.stats.Routing.Ftable.minimal;
-      Alcotest.(check bool) (name ^ " within 8 layers") true (r.Dfsssp.Verify.num_layers <= 8);
-      Alcotest.(check bool)
-        (name ^ " layers consistent") true
-        (r.Dfsssp.Verify.max_layer_seen < r.Dfsssp.Verify.num_layers))
+      let num_layers = Routing.Ftable.num_layers ft in
+      (match Analysis.Analyzer.certify ft with
+      | Error e -> Alcotest.failf "%s: not certified: %s" name e
+      | Ok cert ->
+        (* the certificate covers the declared layers and every used one,
+           so equality means no route rides a layer past the count *)
+        check Alcotest.int (name ^ " layers consistent") num_layers (Analysis.Cert.num_layers cert));
+      Alcotest.(check bool) (name ^ " minimal") true (stats name ft).Routing.Ftable.minimal;
+      Alcotest.(check bool) (name ^ " within 8 layers") true (num_layers <= 8))
     (Lazy.force fixtures)
 
 let test_paths_equal_sssp () =
@@ -93,10 +98,9 @@ let test_variants_and_heuristics () =
       List.iter
         (fun h ->
           let ft = expect label (Dfsssp.route ~variant ~heuristic:h g) in
-          let r = report label ft in
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s deadlock free" label (Deadlock.Heuristic.to_string h))
-            true r.Dfsssp.Verify.deadlock_free)
+            true (certified ft))
         Deadlock.Heuristic.all)
     [ ("offline", Dfsssp.Offline); ("online", Dfsssp.Online) ]
 
@@ -104,8 +108,7 @@ let test_balance_spreads () =
   let g = fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:1) in
   let plain = expect "plain" (Dfsssp.route ~max_layers:8 g) in
   let balanced = expect "balanced" (Dfsssp.route ~max_layers:8 ~balance:true g) in
-  let r = report "balanced" balanced in
-  Alcotest.(check bool) "balanced still deadlock free" true r.Dfsssp.Verify.deadlock_free;
+  Alcotest.(check bool) "balanced still deadlock free" true (certified balanced);
   Alcotest.(check bool) "balance uses more layers" true
     (Routing.Ftable.num_layers balanced >= Routing.Ftable.num_layers plain);
   check Alcotest.int "balance fills the budget" 8 (Routing.Ftable.num_layers balanced)
@@ -130,11 +133,9 @@ let dfsssp_random_qcheck =
       match Dfsssp.route ~max_layers:16 g with
       | Error _ -> false
       | Ok ft -> (
-        match Dfsssp.Verify.report ft with
+        match Routing.Ftable.validate ft with
         | Error _ -> false
-        | Ok r ->
-          r.Dfsssp.Verify.deadlock_free && r.Dfsssp.Verify.stats.Routing.Ftable.minimal
-          && r.Dfsssp.Verify.stats.Routing.Ftable.pairs = 20 * 19))
+        | Ok s -> certified ft && s.Routing.Ftable.minimal && s.Routing.Ftable.pairs = 20 * 19))
 
 let dfsssp_torus_layers_qcheck =
   qtest ~count:8 "dfsssp: small layer count on tori" QCheck2.Gen.(int_range 3 5)
@@ -203,27 +204,31 @@ let test_multipath_joint_layers () =
        with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Verify                                                               *)
+(* Verify: the certifier against the Kahn oracle                        *)
 (* ------------------------------------------------------------------ *)
 
 let test_verify_parallel_agrees () =
   let g = fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:1) in
   let df = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
-  Alcotest.(check bool) "parallel verify true" true (Dfsssp.Verify.deadlock_free ~domains:4 df);
+  Alcotest.(check bool) "parallel oracle true" true (Oracle.Acyclic.table_acyclic ~domains:4 df);
+  Alcotest.(check bool) "certifier agrees (true)" true (certified df);
   let sssp = Result.get_ok (Routing.Sssp.route g) in
-  Alcotest.(check bool) "parallel verify false" false (Dfsssp.Verify.deadlock_free ~domains:4 sssp)
+  Alcotest.(check bool) "parallel oracle false" false (Oracle.Acyclic.table_acyclic ~domains:4 sssp);
+  Alcotest.(check bool) "certifier agrees (false)" false (certified sssp)
 
 let test_verify_flags_cyclic () =
   let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
   let sssp = Result.get_ok (Routing.Sssp.route g) in
-  Alcotest.(check bool) "sssp on ring is not deadlock free" false (Dfsssp.Verify.deadlock_free sssp);
-  let r = report "sssp" sssp in
-  Alcotest.(check bool) "report agrees" false r.Dfsssp.Verify.deadlock_free
+  Alcotest.(check bool) "sssp on ring is not deadlock free" false (certified sssp);
+  Alcotest.(check bool) "oracle agrees" false (Oracle.Acyclic.table_acyclic sssp);
+  Alcotest.(check bool) "tables themselves valid" true (Result.is_ok (Routing.Ftable.validate sssp))
 
 let test_verify_error_on_incomplete () =
   let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
   let ft = Routing.Ftable.create g ~algorithm:"empty" in
-  Alcotest.(check bool) "incomplete table rejected" true (Result.is_error (Dfsssp.Verify.report ft))
+  Alcotest.(check bool) "incomplete table rejected" true (Result.is_error (Routing.Ftable.validate ft));
+  Alcotest.(check bool) "nothing to certify" true (Result.is_error (Analysis.Analyzer.certify ft));
+  Alcotest.(check bool) "oracle refuses" false (Oracle.Acyclic.table_acyclic ft)
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                             *)
@@ -251,31 +256,31 @@ let test_registry_dor_needs_coords () =
 
 let test_hardened_routings () =
   (* assign_layers makes any base routing deadlock-free: DOR on a torus
-     (cyclic without it) and MinHop on a dragonfly both pass the verifier *)
+     (cyclic without it) and MinHop on a dragonfly both certify *)
   let g, coords = Topo_torus.torus ~dims:[| 5; 5 |] ~terminals_per_switch:1 in
   let dfdor = Option.get (Dfsssp.Registry.find ~coords "dfdor") in
   (match dfdor.Dfsssp.Registry.run g with
   | Error e -> Alcotest.fail e
   | Ok ft ->
-    Alcotest.(check bool) "dfdor deadlock free" true (Dfsssp.Verify.deadlock_free ft);
+    Alcotest.(check bool) "dfdor deadlock free" true (certified ft);
     Alcotest.(check bool) "dfdor layered" true (Routing.Ftable.num_layers ft >= 2);
     (* plain dor on the same torus is cyclic *)
     let dor = Option.get (Dfsssp.Registry.find ~coords "dor") in
     (match dor.Dfsssp.Registry.run g with
-    | Ok plain -> Alcotest.(check bool) "plain dor cyclic" false (Dfsssp.Verify.deadlock_free plain)
+    | Ok plain -> Alcotest.(check bool) "plain dor cyclic" false (certified plain)
     | Error e -> Alcotest.fail e));
   let df = Topo_dragonfly.make ~a:4 ~p:2 ~h:2 () in
   let dfminhop = Option.get (Dfsssp.Registry.find "dfminhop") in
   (match dfminhop.Dfsssp.Registry.run df with
   | Error e -> Alcotest.fail e
-  | Ok ft -> Alcotest.(check bool) "dfminhop deadlock free" true (Dfsssp.Verify.deadlock_free ft))
+  | Ok ft -> Alcotest.(check bool) "dfminhop deadlock free" true (certified ft))
 
 let test_route_min_layers () =
   let g = fst (Topo_torus.torus ~dims:[| 5; 5 |] ~terminals_per_switch:1) in
   match Dfsssp.route_min_layers g with
   | Error e -> Alcotest.fail (Dfsssp.error_to_string e)
   | Ok (ft, winner) ->
-    Alcotest.(check bool) "deadlock free" true (Dfsssp.Verify.deadlock_free ft);
+    Alcotest.(check bool) "deadlock free" true (certified ft);
     (* the winner is at least as good as every single heuristic *)
     List.iter
       (fun h ->
@@ -299,7 +304,7 @@ let test_registry_deadlock_free_flags () =
         if alg.Dfsssp.Registry.deadlock_free_by_design then
           Alcotest.(check bool)
             (alg.Dfsssp.Registry.name ^ " honours its flag")
-            true (Dfsssp.Verify.deadlock_free ft))
+            true (certified ft))
     (Dfsssp.Registry.all ())
 
 let () =

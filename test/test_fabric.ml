@@ -244,8 +244,11 @@ let test_manager_single_link_incremental () =
   check Alcotest.bool "no fallback" false o.Fabric.Manager.fallback;
   check Alcotest.int "epoch advanced" 2 o.Fabric.Manager.epoch;
   (match o.Fabric.Manager.verify with
-  | Some r -> check Alcotest.bool "verified deadlock-free" true r.Dfsssp.Verify.deadlock_free
-  | None -> Alcotest.fail "swap without a verification report");
+  | Some r ->
+    check Alcotest.int "certified on the live layer count"
+      (Routing.Ftable.num_layers (Fabric.Manager.tables mgr))
+      r.Fabric.Epoch.certified_layers
+  | None -> Alcotest.fail "swap without a gate verdict");
   (* bring the link back: the beneficiary repair must also end verified *)
   let o2 = Fabric.Manager.apply mgr (Fabric.Event.Link_up cable) in
   check Alcotest.bool "restore applied" true o2.Fabric.Manager.applied;
@@ -279,8 +282,11 @@ let test_manager_fallback_on_layer_budget () =
   | Fabric.Manager.Full _ -> ()
   | _ -> Alcotest.fail "expected a full recompute after the fallback");
   (match o.Fabric.Manager.verify with
-  | Some r -> check Alcotest.bool "fallback tables verified deadlock-free" true r.Dfsssp.Verify.deadlock_free
-  | None -> Alcotest.fail "fallback swap without a verification report");
+  | Some r ->
+    check Alcotest.int "fallback tables certified on their layer count"
+      (Routing.Ftable.num_layers (Fabric.Manager.tables mgr))
+      r.Fabric.Epoch.certified_layers
+  | None -> Alcotest.fail "fallback swap without a gate verdict");
   check Alcotest.bool "fallback counted" true (Fabric.Metrics.fallbacks (Fabric.Manager.metrics mgr) >= 1);
   check Alcotest.bool "converged despite the fallback" true (Fabric.Manager.converged mgr)
 
@@ -307,21 +313,24 @@ let test_manager_acceptance_4x4x4 () =
       | Fabric.Manager.Incremental { repaired; total } ->
         check Alcotest.bool "single-link repair under 50% of destinations" true (2 * repaired < total);
         (match o.Fabric.Manager.verify with
-        | Some r -> check Alcotest.bool "incremental swap verified" true r.Dfsssp.Verify.deadlock_free
-        | None -> Alcotest.fail "incremental swap without verification")
+        | Some r ->
+          check Alcotest.bool "incremental swap certified within the budget" true
+            (r.Fabric.Epoch.certified_layers <= 8)
+        | None -> Alcotest.fail "incremental swap without certification")
       | Fabric.Manager.Full _ -> (
         match o.Fabric.Manager.verify with
-        | Some r -> check Alcotest.bool "full swap verified" true r.Dfsssp.Verify.deadlock_free
-        | None -> Alcotest.fail "full swap without verification"))
+        | Some r ->
+          check Alcotest.bool "full swap certified within the budget" true
+            (r.Fabric.Epoch.certified_layers <= 8)
+        | None -> Alcotest.fail "full swap without certification"))
     outcomes;
   let m = Fabric.Manager.metrics mgr in
   check Alcotest.bool "the switch removal forced a full recompute" true (Fabric.Metrics.full_recomputes m >= 1);
   check Alcotest.bool "incremental repairs dominated" true (Fabric.Metrics.incremental_repairs m >= 5);
   check Alcotest.bool "overall repaired fraction under 50%" true (Fabric.Metrics.repaired_fraction m < 0.5);
   check Alcotest.bool "converged" true (Fabric.Manager.converged mgr);
-  match Dfsssp.Verify.report (Fabric.Manager.tables mgr) with
-  | Ok r -> check Alcotest.bool "final tables deadlock-free" true r.Dfsssp.Verify.deadlock_free
-  | Error msg -> Alcotest.failf "final tables invalid: %s" msg
+  check Alcotest.bool "final tables deadlock-free (Kahn oracle)" true
+    (Oracle.Acyclic.table_acyclic (Fabric.Manager.tables mgr))
 
 (* ------------------------------------------------------------------ *)
 (* Epoch snapshots and shutdown (the controller daemon's serving path)   *)
@@ -377,7 +386,7 @@ let test_shutdown_idempotent_and_usable () =
 module Rs = Deadlock.Route_store
 module Ft = Routing.Ftable
 
-(* Reference for the verifier's statistics, independent of the arena:
+(* Reference for the gate's statistics, independent of the arena:
    every pair's path as a list walk via Ftable.path, minimality against
    per-destination reverse BFS. *)
 let oracle_stats ft =
@@ -424,9 +433,11 @@ let oracle_stats ft =
 
 (* Reference swap gate composed from the table-level entry points, each
    walking the table itself: the existence gate, certify via
-   Cert.of_table and Cert.check_table, then Verify.report, with the
-   snapshot's paths left to a lazy Ftable.to_store
-   (check_snapshot_matches). The one-walk gate must agree with it. *)
+   Cert.of_table and Cert.check_table, then the old verifier — the
+   completeness and stats walk of Ftable.validate plus the Kahn proof of
+   every layer (Oracle.Acyclic) — with the snapshot's paths left to a
+   lazy Ftable.to_store (check_snapshot_matches). The gate, whose one
+   deadlock proof is the certificate, must agree with it. *)
 let oracle_gate candidate =
   let open Analysis in
   let ex = Existence.analyze (Ft.graph candidate) in
@@ -441,10 +452,11 @@ let oracle_gate candidate =
       match Cert.check_table cert candidate with
       | Error msg -> Error ("certificate: checker refuted the generated witness: " ^ msg)
       | Ok () -> (
-        match Dfsssp.Verify.report candidate with
+        match Ft.validate candidate with
         | Error msg -> Error ("incomplete routing: " ^ msg)
-        | Ok r ->
-          if r.Dfsssp.Verify.deadlock_free then Ok r else Error "candidate tables are not deadlock-free"))
+        | Ok stats ->
+          if Oracle.Acyclic.table_acyclic candidate then Ok (stats, Cert.num_layers cert)
+          else Error "candidate tables are not deadlock-free"))
 
 let prefix msg = match String.index_opt msg ':' with Some i -> String.sub msg 0 i | None -> msg
 
@@ -484,7 +496,7 @@ let check_snapshot_matches name (s : Fabric.Epoch.snapshot) =
     s.Fabric.Epoch.num_layers
 
 (* Offer one candidate to [epochs] and to the oracle: same verdict, same
-   refusal prefix, same report; an admitted candidate becomes the
+   refusal prefix, same stats and layer count; an admitted candidate becomes the
    snapshot, a refused one leaves the epoch exactly as it was. *)
 let gate_parity epochs name candidate =
   let before = Fabric.Epoch.epoch epochs in
@@ -493,10 +505,11 @@ let gate_parity epochs name candidate =
   let expected = oracle_gate candidate in
   let got, _ = Fabric.Epoch.try_swap epochs ~label:name candidate in
   match (expected, got) with
-  | Ok r, Ok r' ->
-    check Alcotest.bool (name ^ ": same report") true (r = r');
+  | Ok (stats, layers), Ok v ->
+    check Alcotest.bool (name ^ ": same stats") true (stats = v.Fabric.Epoch.stats);
+    check Alcotest.int (name ^ ": same certified layers") layers v.Fabric.Epoch.certified_layers;
     check Alcotest.bool (name ^ ": stats match the list walk") true
-      (r'.Dfsssp.Verify.stats = oracle_stats candidate);
+      (v.Fabric.Epoch.stats = oracle_stats candidate);
     check Alcotest.int (name ^ ": epoch advanced") (before + 1) (Fabric.Epoch.epoch epochs);
     let s = Result.get_ok (Fabric.Epoch.snapshot epochs) in
     check Alcotest.int (name ^ ": snapshot epoch") (before + 1) s.Fabric.Epoch.snap_epoch;
@@ -622,7 +635,7 @@ let test_gate_fails_closed () =
   expect_refusal epochs ~prefix:"incomplete routing:" "forwarding loop" looping;
   (* a 4x4 torus needs two layers; on one, its CDG is cyclic *)
   let cyclic = copy_table ~layer:0 (route_dfsssp (torus [| 4; 4 |])) in
-  check Alcotest.bool "the flattened torus is really cyclic" false (Dfsssp.Verify.deadlock_free cyclic);
+  check Alcotest.bool "the flattened torus is really cyclic" false (Oracle.Acyclic.table_acyclic cyclic);
   expect_refusal epochs ~prefix:"certificate:" "cyclic layers" cyclic;
   check Alcotest.int "only the good swap installed" 1 (List.length (Fabric.Epoch.history epochs))
 
@@ -636,8 +649,7 @@ let test_gate_store_read_only () =
   let num_layers = Ft.num_layers ft in
   check Alcotest.bool "certified" true
     (Result.is_ok (Analysis.Analyzer.certify_store ~num_layers store ~layer_of_path));
-  check Alcotest.bool "verified" true
-    (Result.is_ok (Dfsssp.Verify.report_store ~num_layers store ~layer_of_path));
+  check Alcotest.bool "stats collected" true (Result.is_ok (Ft.validate_store store));
   let n, c, buf = before and n', c', buf' = shape () in
   check Alcotest.int "num_paths unchanged" n n';
   check Alcotest.int "total_channels unchanged" c c';

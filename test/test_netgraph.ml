@@ -612,12 +612,9 @@ let test_parallel_map () =
   check Alcotest.(array int) "empty" [||] (Parallel.map_array ~domains:4 (fun x -> x) [||]);
   check Alcotest.(array int) "singleton" [| 9 |] (Parallel.map_array ~domains:4 (fun x -> x * x) [| 3 |])
 
-let test_parallel_init_and_for_all () =
+let test_parallel_init () =
   check Alcotest.(array int) "init" (Array.init 100 (fun i -> 2 * i))
     (Parallel.init ~domains:3 100 (fun i -> 2 * i));
-  Alcotest.(check bool) "for_all true" true (Parallel.for_all ~domains:3 (fun x -> x >= 0) (Array.init 50 Fun.id));
-  Alcotest.(check bool) "for_all false" false
-    (Parallel.for_all ~domains:3 (fun x -> x < 49) (Array.init 50 Fun.id));
   Alcotest.(check bool) "recommended sane" true
     (let d = Parallel.recommended_domains () in
      d >= 1 && d <= 8)
@@ -845,7 +842,7 @@ let () =
       ( "parallel",
         [
           Alcotest.test_case "map" `Quick test_parallel_map;
-          Alcotest.test_case "init and for_all" `Quick test_parallel_init_and_for_all;
+          Alcotest.test_case "init" `Quick test_parallel_init;
           Alcotest.test_case "exception" `Quick test_parallel_exception;
           Alcotest.test_case "pool run and scratch" `Quick test_pool_run_and_scratch;
           Alcotest.test_case "pool map_reduce" `Quick test_pool_map_reduce;

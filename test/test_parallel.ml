@@ -213,7 +213,7 @@ let registry_domains_invariant =
       let ft1 = run 1 and ft2 = run 2 in
       same_tables ft1 ft2
       && Routing.Ftable.num_layers ft1 = Routing.Ftable.num_layers ft2
-      && Dfsssp.Verify.deadlock_free ft2)
+      && Result.is_ok (Analysis.Analyzer.certify ft2))
 
 let () =
   Alcotest.run "parallel routing"

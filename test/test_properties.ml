@@ -213,7 +213,7 @@ let congestion_conservation =
 (* ------------------------------------------------------------------ *)
 
 (* Acyclic per-lane CDGs are sufficient for deadlock freedom: whenever the
-   verifier says yes, both simulators must drain any workload. *)
+   certifier says yes, both simulators must drain any workload. *)
 let acyclic_implies_drain =
   qtest ~count:12 "acyclic CDG => both simulators drain" seed_gen (fun seed ->
       let rng = Rng.create seed in
@@ -221,7 +221,7 @@ let acyclic_implies_drain =
       match Dfsssp.route ~max_layers:16 g with
       | Error _ -> false
       | Ok ft ->
-        Dfsssp.Verify.deadlock_free ft
+        Result.is_ok (Analysis.Analyzer.certify ft)
         &&
         let ts = Graph.terminals g in
         let n = Array.length ts in
@@ -266,7 +266,7 @@ let cycle_vs_kahn =
       done;
       let search = Deadlock.Cycle.create cdg in
       let found = Deadlock.Cycle.find_cycle search <> None in
-      found = not (Deadlock.Acyclic.is_acyclic cdg))
+      found = not (Oracle.Acyclic.is_acyclic cdg))
 
 (* ------------------------------------------------------------------ *)
 (* CSR CDG vs the naive Hashtbl reference                               *)
@@ -292,38 +292,38 @@ let cdg_matches_reference =
         | Error _ -> false
         | Ok store ->
           let csr = Deadlock.Cdg.of_store store in
-          let rc = Deadlock.Cdg_ref.create g in
+          let rc = Oracle.Cdg_ref.create g in
           Deadlock.Route_store.iter_pairs store (fun pair ->
-              Deadlock.Cdg_ref.add_path rc ~pair (Deadlock.Route_store.to_path store ~pair));
+              Oracle.Cdg_ref.add_path rc ~pair (Deadlock.Route_store.to_path store ~pair));
           let agree () =
             let ok = ref true in
-            if Deadlock.Cdg.num_edges csr <> Deadlock.Cdg_ref.num_edges rc then ok := false;
-            if Deadlock.Cdg.num_paths csr <> Deadlock.Cdg_ref.num_paths rc then ok := false;
-            Deadlock.Cdg_ref.iter_edges rc (fun c1 c2 count ->
+            if Deadlock.Cdg.num_edges csr <> Oracle.Cdg_ref.num_edges rc then ok := false;
+            if Deadlock.Cdg.num_paths csr <> Oracle.Cdg_ref.num_paths rc then ok := false;
+            Oracle.Cdg_ref.iter_edges rc (fun c1 c2 count ->
                 if Deadlock.Cdg.edge_count csr ~c1 ~c2 <> count then ok := false;
                 if
                   List.sort compare (Deadlock.Cdg.edge_pairs csr ~c1 ~c2)
-                  <> List.sort compare (Deadlock.Cdg_ref.edge_pairs rc ~c1 ~c2)
+                  <> List.sort compare (Oracle.Cdg_ref.edge_pairs rc ~c1 ~c2)
                 then ok := false);
             for c = 0 to Graph.num_channels g - 1 do
               if
                 List.sort compare (Array.to_list (Deadlock.Cdg.successors csr c))
-                <> List.sort compare (Array.to_list (Deadlock.Cdg_ref.successors rc c))
+                <> List.sort compare (Array.to_list (Oracle.Cdg_ref.successors rc c))
               then ok := false
             done;
             (* weakest-edge choice over all live edges, in a fixed order:
                identical counts must yield the identical pick *)
             let edges = ref [] in
-            Deadlock.Cdg_ref.iter_edges rc (fun c1 c2 _ -> edges := (c1, c2) :: !edges);
+            Oracle.Cdg_ref.iter_edges rc (fun c1 c2 _ -> edges := (c1, c2) :: !edges);
             let edges = Array.of_list (List.sort compare !edges) in
             if Array.length edges > 0 then begin
               let expected = ref edges.(0) in
               let expected_count =
-                ref (Deadlock.Cdg_ref.edge_count rc ~c1:(fst edges.(0)) ~c2:(snd edges.(0)))
+                ref (Oracle.Cdg_ref.edge_count rc ~c1:(fst edges.(0)) ~c2:(snd edges.(0)))
               in
               Array.iter
                 (fun (c1, c2) ->
-                  let count = Deadlock.Cdg_ref.edge_count rc ~c1 ~c2 in
+                  let count = Oracle.Cdg_ref.edge_count rc ~c1 ~c2 in
                   if count < !expected_count then begin
                     expected := (c1, c2);
                     expected_count := count
@@ -342,13 +342,13 @@ let cdg_matches_reference =
           List.iter
             (fun pair ->
               Deadlock.Cdg.remove_pair csr store ~pair;
-              Deadlock.Cdg_ref.remove_path rc ~pair (Deadlock.Route_store.to_path store ~pair))
+              Oracle.Cdg_ref.remove_path rc ~pair (Deadlock.Route_store.to_path store ~pair))
             !removed;
           if not (agree ()) then ok := false;
           List.iter
             (fun pair ->
               Deadlock.Cdg.add_pair csr store ~pair;
-              Deadlock.Cdg_ref.add_path rc ~pair (Deadlock.Route_store.to_path store ~pair))
+              Oracle.Cdg_ref.add_path rc ~pair (Deadlock.Route_store.to_path store ~pair))
             !removed;
           if not (agree ()) then ok := false;
           (* compaction is invisible to every observer *)
@@ -416,8 +416,41 @@ let ftable_io_random =
               | _ -> ok := false);
               if Routing.Ftable.layer ft ~src ~dst <> Routing.Ftable.layer ft' ~src:src' ~dst:dst' then
                 ok := false);
-          !ok && Dfsssp.Verify.deadlock_free ft'))
+          !ok && Result.is_ok (Analysis.Analyzer.certify ft')))
 
+
+(* ------------------------------------------------------------------ *)
+(* The certificate vs the Kahn oracle, both directions                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The swap gate's one deadlock proof is the certificate; this is what
+   licenses it. Random fig-9-style fabrics and small tori, SSSP or
+   MinHop routes, and a random assignment onto k in [1, 4] layers, so
+   many layers are cyclic: the generator succeeds exactly when Kahn
+   finds every layer acyclic, the checker accepts every certificate it
+   emits, and every refusal names a cycle. *)
+let cert_agrees_with_kahn =
+  qtest ~count:100 "certificate agrees with the Kahn oracle" seed_gen (fun seed ->
+      let rng = Rng.create seed in
+      let g =
+        if Rng.bool rng then
+          Testutil.random_graph ~switches:(6 + Rng.int rng 5) ~switch_radix:8 ~terminals:(8 + Rng.int rng 9)
+            ~inter_links:(9 + Rng.int rng 6) rng
+        else fst (Topo_torus.torus ~dims:[| 3 + Rng.int rng 2; 3 + Rng.int rng 2 |] ~terminals_per_switch:1)
+      in
+      let routed = if Rng.bool rng then Routing.Sssp.route g else Routing.Minhop.route g in
+      match Result.bind routed Analysis.Cert.artifacts_of_table with
+      | Error _ -> false
+      | Ok (store, layer_of_path) -> (
+        let num_layers = 1 + Rng.int rng 4 in
+        let layer_of_path =
+          Array.map (fun l -> if l < 0 then l else Rng.int rng num_layers) layer_of_path
+        in
+        let acyclic = Oracle.Acyclic.layers_acyclic_store store ~layer_of_path ~num_layers in
+        match Analysis.Cert.of_store ~num_layers store ~layer_of_path with
+        | Ok cert -> acyclic && Result.is_ok (Analysis.Cert.check cert store ~layer_of_path)
+        | Error (Analysis.Cert.Cycle _) -> not acyclic
+        | Error (Analysis.Cert.Incomplete _) -> false))
 
 (* ------------------------------------------------------------------ *)
 (* Resumable offline sweep vs a naive restart-based reference           *)
@@ -475,8 +508,8 @@ let resumable_matches_naive =
              naive_offline g ~paths ~max_layers:16 )
          with
         | Ok outcome, Some (naive_layers, naive_used) ->
-          Deadlock.Acyclic.layers_acyclic g ~paths ~layer_of_path:naive_layers ~num_layers:naive_used
-          && Deadlock.Acyclic.layers_acyclic g ~paths
+          Oracle.Acyclic.layers_acyclic g ~paths ~layer_of_path:naive_layers ~num_layers:naive_used
+          && Oracle.Acyclic.layers_acyclic g ~paths
                ~layer_of_path:outcome.Deadlock.Layers.layer_of_path
                ~num_layers:outcome.Deadlock.Layers.layers_used
           (* both strategies must land within one layer of each other *)
@@ -498,10 +531,7 @@ let switch_removal_sound =
       | Ok g' -> (
         match Dfsssp.route ~max_layers:16 g' with
         | Error _ -> false
-        | Ok ft -> (
-          match Dfsssp.Verify.report ft with
-          | Ok r -> r.Dfsssp.Verify.deadlock_free
-          | Error _ -> false)))
+        | Ok ft -> Result.is_ok (Analysis.Analyzer.certify ft)))
 
 (* ------------------------------------------------------------------ *)
 (* The fabric manager converges under arbitrary fault schedules         *)
@@ -509,8 +539,9 @@ let switch_removal_sound =
 
 (* Whatever mix of link downs/ups, drains and a switch removal a random
    schedule throws at it, and on whichever substrate (ring, torus,
-   degraded XGFT), the manager must end every run on tables that pass the
-   full independent verifier: complete and deadlock-free. *)
+   degraded XGFT), the manager must end every run on tables that are
+   complete and deadlock-free by the Kahn oracle, a second judge outside
+   the manager's certificate gate. *)
 let fabric_manager_converges =
   qtest ~count:10 "fabric manager: random fault schedules end verified" seed_gen (fun seed ->
       let rng = Rng.create seed in
@@ -529,9 +560,8 @@ let fabric_manager_converges =
         let _ = Fabric.Manager.run mgr schedule in
         Fabric.Manager.converged mgr
         &&
-        (match Dfsssp.Verify.report (Fabric.Manager.tables mgr) with
-        | Ok r -> r.Dfsssp.Verify.deadlock_free
-        | Error _ -> false))
+        Result.is_ok (Routing.Ftable.validate (Fabric.Manager.tables mgr))
+        && Oracle.Acyclic.table_acyclic (Fabric.Manager.tables mgr))
 
 (* ------------------------------------------------------------------ *)
 (* Every registry engine faces the certifier                            *)
@@ -659,7 +689,7 @@ let () =
       ("cdg", [ cycle_vs_kahn; resumable_matches_naive; cdg_matches_reference ]);
       ("interop", [ sl_dump_matches_layers; ftable_io_random ]);
       ("degradation", [ switch_removal_sound ]);
-      ("certification", [ registry_engines_certify; break_engines_certify ]);
+      ("certification", [ registry_engines_certify; break_engines_certify; cert_agrees_with_kahn ]);
       ("fabric", [ fabric_manager_converges ]);
       ("collectives", [ a2a_rounds_partition ]);
       ("multipath", [ multipath_sound ]);
