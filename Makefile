@@ -128,6 +128,10 @@ bench-service:
 # process, query it over the socket with `fabric_tool client`, apply an
 # event, and shut it down cleanly. Guards the ends the in-process soak
 # test cannot see: CLI wiring, signal/exit paths, socket unlinking.
+# The second case sends SIGTERM while an event is being applied (a
+# failing full recompute on torus:8x8:4, once the stats op shows the
+# event handed to the control domain): the daemon must still answer the
+# event, exit 0 and unlink its socket.
 smoke-service:
 	@set -e; \
 	sock=$$(mktemp -u /tmp/fabsvc_smoke_XXXXXX.sock); \
@@ -143,6 +147,29 @@ smoke-service:
 	dune exec bin/fabric_tool.exe -- client --socket $$sock shutdown; \
 	wait $$pid; \
 	[ ! -e $$sock ] || { echo "smoke-service: socket not unlinked at shutdown"; exit 1; }; \
+	trap - EXIT; \
+	dune build bin/fabric_tool.exe; \
+	tool=_build/default/bin/fabric_tool.exe; \
+	sock=$$(mktemp -u /tmp/fabsvc_smoke_XXXXXX.sock); \
+	out=$$(mktemp /tmp/fabsvc_smoke_XXXXXX.out); \
+	$$tool serve torus:8x8:4 --socket $$sock > /dev/null & \
+	pid=$$!; \
+	trap 'kill $$pid 2>/dev/null || true; rm -f $$sock $$out' EXIT; \
+	for i in $$(seq 1 200); do [ -S $$sock ] && break; sleep 0.05; done; \
+	[ -S $$sock ] || { echo "smoke-service: daemon never bound $$sock"; exit 1; }; \
+	$$tool client --socket $$sock event down 290 > $$out & \
+	cpid=$$!; \
+	for i in $$(seq 1 200); do \
+	  $$tool client --socket $$sock stats | grep -q '"service.event_batches":{[^}]*"value":1' && break; \
+	  sleep 0.01; \
+	done; \
+	[ ! -s $$out ] || { echo "smoke-service: the event was answered before SIGTERM"; exit 1; }; \
+	kill -TERM $$pid; \
+	wait $$pid || { echo "smoke-service: daemon exited non-zero on SIGTERM mid-event"; exit 1; }; \
+	wait $$cpid || { echo "smoke-service: the in-flight event got no reply"; exit 1; }; \
+	grep -q '^down 290: ' $$out || { echo "smoke-service: unexpected event reply: $$(cat $$out)"; exit 1; }; \
+	[ ! -e $$sock ] || { echo "smoke-service: socket not unlinked after SIGTERM"; exit 1; }; \
+	rm -f $$out; \
 	trap - EXIT; \
 	echo "smoke-service: OK"
 

@@ -176,6 +176,7 @@ let full_swap t ~event ~t0 ~reason ~fallback ~diff_against =
   match full_route t with
   | Error msg ->
     Obs.Timer.add m.Metrics.repair (Unix.gettimeofday () -. tr0);
+    Obs.Counter.incr m.Metrics.full_recompute_failures;
     finish t
       {
         event;
@@ -194,6 +195,7 @@ let full_swap t ~event ~t0 ~reason ~fallback ~diff_against =
     | Error msg, verify_s ->
       Obs.Timer.add m.Metrics.verify verify_s;
       Obs.Counter.incr m.Metrics.verify_failures;
+      Obs.Counter.incr m.Metrics.full_recompute_failures;
       finish t
         {
           event;

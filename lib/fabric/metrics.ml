@@ -11,6 +11,7 @@ type t = {
   events_rejected : Obs.Counter.t;
   incremental_repairs : Obs.Counter.t;
   full_recomputes : Obs.Counter.t;
+  full_recompute_failures : Obs.Counter.t;
   fallbacks : Obs.Counter.t;
   dsts_repaired : Obs.Counter.t;
   dsts_total : Obs.Counter.t;
@@ -31,6 +32,8 @@ let create () =
     events_rejected = counter "fabric.events_rejected" "events refused (would disconnect, unknown id, ...)";
     incremental_repairs = counter "fabric.incremental_repairs" "events settled by partial recompute";
     full_recomputes = counter "fabric.full_recomputes" "events settled by full reroute";
+    full_recompute_failures =
+      counter "fabric.full_recompute_failures" "events whose full recompute installed no epoch";
     fallbacks = counter "fabric.fallbacks" "incremental attempts abandoned for a full recompute";
     dsts_repaired = counter "fabric.dsts_repaired" "destinations recomputed, incremental events only";
     dsts_total = counter "fabric.dsts_total" "destinations present, summed over incremental events";
@@ -48,6 +51,7 @@ let events_applied m = Obs.Counter.value m.events_applied
 let events_rejected m = Obs.Counter.value m.events_rejected
 let incremental_repairs m = Obs.Counter.value m.incremental_repairs
 let full_recomputes m = Obs.Counter.value m.full_recomputes
+let full_recompute_failures m = Obs.Counter.value m.full_recompute_failures
 let fallbacks m = Obs.Counter.value m.fallbacks
 let dsts_repaired m = Obs.Counter.value m.dsts_repaired
 let dsts_total m = Obs.Counter.value m.dsts_total
@@ -66,10 +70,10 @@ let pp ppf m =
   Format.fprintf ppf
     "events: %d seen, %d applied, %d rejected@,\
      incremental repairs: %d (%d/%d destinations recomputed, %.1f%%)@,\
-     full recomputes: %d (fallbacks from incremental: %d, verify failures: %d)@,\
+     full recomputes: %d, failed: %d (fallbacks from incremental: %d, verify failures: %d)@,\
      swap epochs: %d@,\
      time: repair %.3f s, verify %.3f s"
     (events_seen m) (events_applied m) (events_rejected m) (incremental_repairs m) (dsts_repaired m)
     (dsts_total m)
     (100.0 *. repaired_fraction m)
-    (full_recomputes m) (fallbacks m) (verify_failures m) (swap_epochs m) (repair_s m) (verify_s m)
+    (full_recomputes m) (full_recompute_failures m) (fallbacks m) (verify_failures m) (swap_epochs m) (repair_s m) (verify_s m)

@@ -10,6 +10,9 @@ type t = {
   events_rejected : Obs.Counter.t;  (** refused (would disconnect, unknown id, ...) *)
   incremental_repairs : Obs.Counter.t;  (** events settled by partial recompute *)
   full_recomputes : Obs.Counter.t;  (** events settled by full reroute *)
+  full_recompute_failures : Obs.Counter.t;
+      (** events whose full recompute installed no epoch (routing failed
+          or the swap gate refused the result): stale tables kept *)
   fallbacks : Obs.Counter.t;
       (** incremental attempts abandoned for a full recompute (layer
           budget exhausted or the swap gate rejected the candidate) *)
@@ -31,6 +34,7 @@ val events_applied : t -> int
 val events_rejected : t -> int
 val incremental_repairs : t -> int
 val full_recomputes : t -> int
+val full_recompute_failures : t -> int
 val fallbacks : t -> int
 val dsts_repaired : t -> int
 val dsts_total : t -> int

@@ -11,15 +11,17 @@ type t = {
   route_errors : Obs.Counter.t;  (** unroutable / bad ids *)
   events_enqueued : Obs.Counter.t;  (** admitted into the event queue *)
   events_applied : Obs.Counter.t;
-  event_batches : Obs.Counter.t;  (** queue drains (one per manager step group) *)
+  event_batches : Obs.Counter.t;  (** batches handed to the control domain *)
   busy_replies : Obs.Counter.t;  (** load shed: admission queue full *)
   bad_requests : Obs.Counter.t;  (** unparseable / unknown / refused frames *)
   bytes_in : Obs.Counter.t;
   bytes_out : Obs.Counter.t;
-  queue_depth : Obs.Counter.t;  (** gauge: events waiting right now *)
+  queue_depth : Obs.Counter.t;  (** gauge: events admitted and not yet answered (queued plus in flight) *)
   queue_peak : Obs.Counter.t;  (** gauge: high-water mark of the queue *)
   route_s : Obs.Timer.t;  (** per-query serve time *)
   apply_s : Obs.Timer.t;  (** per-event manager step time *)
+  reads_during_apply : Obs.Counter.t;
+      (** route queries answered while the control domain held a batch *)
 }
 
 val create : unit -> t

@@ -7,8 +7,9 @@
     are JSON objects with a ["status"] field — ["ok"], ["busy"] (the
     admission queue sheds load, retry later) or ["error"]. A request may
     carry an ["id"] member (any JSON value), echoed verbatim in its
-    reply: replies to mutating requests are deferred to the next batch
-    boundary, so pipelining clients correlate by id, not order. See
+    reply: replies to mutating requests are deferred to the end of the
+    batch they were applied in, while reads are answered at once, so
+    pipelining clients correlate by id, not order. See
     [doc/fabric_service.md] for the full reference. *)
 
 (** Where a server listens / a client connects. *)

@@ -1,8 +1,11 @@
-(* The controller daemon's event loop. One thread, one select: reads are
-   served inline against the immutable epoch snapshot (zero-copy from
-   the route arena), mutations are admission-queued and drained in
-   batches between selects, writes are non-blocking with per-connection
-   output buffers. See server.mli / DESIGN.md §14 for the contract. *)
+(* The controller daemon: one select loop and one control domain. The
+   loop owns every socket and serves reads inline from the view the
+   control domain last published (zero-copy from the epoch's route
+   arena); topology events are admission-queued and handed to the
+   control domain one batch at a time, which owns the fabric manager
+   and answers through a self-pipe. Writes are non-blocking with
+   per-connection output buffers. See server.mli / DESIGN.md §14 for
+   the contract. *)
 
 let log_src = Logs.Src.create "service.server" ~doc:"fabric controller daemon"
 
@@ -101,20 +104,121 @@ let grow_in c needed =
   end
 
 (* ------------------------------------------------------------------ *)
+(* The control domain                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* What every read is served from: one installed epoch, the fabric as
+   it stands (which a stale epoch may no longer match) and the epoch
+   history. Published whole after every manager step, never mutated. *)
+type view = {
+  snap : Fabric.Epoch.snapshot;
+  graph : Graph.t;
+  history : Fabric.Epoch.entry list;
+}
+
+let view_of mgr =
+  match Fabric.Manager.snapshot mgr with
+  | Ok snap -> { snap; graph = Fabric.Manager.graph mgr; history = Fabric.Manager.epoch_history mgr }
+  | Error e -> failwith ("Server: a created manager has no installed epoch: " ^ e)
+
+(* A result computed on one domain, re-raised with its backtrace on the
+   other. *)
+type 'a guarded = ('a, exn * Printexc.raw_backtrace) result
+
+let guard f = try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ())
+
+let reraise = function
+  | Ok v -> v
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
+(* The mailbox between the loop and the control domain. The loop hands
+   over the next batch only once the previous one was answered, so each
+   direction holds at most one message. Every message towards the loop
+   also writes a byte into the self-pipe, which sits in its select set. *)
+type control = {
+  lock : Mutex.t;
+  cond : Condition.t;
+  mutable started : (Fabric.Manager.t * view Atomic.t, string) result guarded option;
+  mutable job : Fabric.Event.t list option;
+  mutable finished : Fabric.Manager.outcome list guarded option;
+  quit : bool Atomic.t;  (* finish the current step, shut the manager down, exit *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+}
+
+let post ctl f =
+  Mutex.lock ctl.lock;
+  f ();
+  Condition.broadcast ctl.cond;
+  Mutex.unlock ctl.lock;
+  (* a full pipe already holds a wake-up *)
+  try ignore (Unix.single_write_substring ctl.wake_w "x" 0 1)
+  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+
+(* Apply one batch step by step, publishing the view after each step so
+   reads move on as soon as an epoch is installed. A quit request cuts
+   the batch short after the step in flight. *)
+let apply_batch ctl metrics mgr view events =
+  let rec go acc = function
+    | ev :: rest when not (Atomic.get ctl.quit) ->
+      let o = Obs.Timer.time metrics.Metrics.apply_s (fun () -> Fabric.Manager.apply mgr ev) in
+      Obs.Counter.incr metrics.Metrics.events_applied;
+      Atomic.set view (view_of mgr);
+      go (o :: acc) rest
+    | _ -> List.rev acc
+  in
+  go [] events
+
+(* The control domain's whole life: create the manager, apply every
+   batch handed over, shut the manager down. An exception in a batch is
+   posted to the loop (which re-raises it) and ends the domain. *)
+let control_main ctl metrics ~config g () =
+  match guard (fun () -> Fabric.Manager.create ~config g) with
+  | Error e -> post ctl (fun () -> ctl.started <- Some (Error e))
+  | Ok (Error msg) -> post ctl (fun () -> ctl.started <- Some (Ok (Error msg)))
+  | Ok (Ok mgr) ->
+    Fun.protect ~finally:(fun () -> Fabric.Manager.shutdown mgr) @@ fun () ->
+    let view = Atomic.make (view_of mgr) in
+    post ctl (fun () -> ctl.started <- Some (Ok (Ok (mgr, view))));
+    let rec serve_batches () =
+      Mutex.lock ctl.lock;
+      while Option.is_none ctl.job && not (Atomic.get ctl.quit) do
+        Condition.wait ctl.cond ctl.lock
+      done;
+      let job = ctl.job in
+      ctl.job <- None;
+      Mutex.unlock ctl.lock;
+      match job with
+      | None -> ()
+      | Some events ->
+        let r = guard (fun () -> apply_batch ctl metrics mgr view events) in
+        post ctl (fun () -> ctl.finished <- Some r);
+        if Result.is_ok r then serve_batches ()
+    in
+    serve_batches ()
+
+(* ------------------------------------------------------------------ *)
 (* Server state                                                        *)
 (* ------------------------------------------------------------------ *)
 
+type admitted = conn * Fabric.Event.t * Obs.Json.t option
+
 type t = {
   config : config;
-  mgr : Fabric.Manager.t;
+  mgr : Fabric.Manager.t;  (* owned by the control domain; see [manager] *)
+  fabric_metrics : Fabric.Metrics.t;
+  view : view Atomic.t;
+  ctl : control;
+  domain : unit Domain.t;
   listen_fd : Unix.file_descr;
   actual_addr : Proto.addr;
   metrics : Metrics.t;
   ring : ring option;
   prev_obs_enabled : bool;
-  pending : (conn * Fabric.Event.t * Obs.Json.t option) Queue.t;
+  pending : admitted Queue.t;
+  mutable inflight : admitted list; (* the batch the control domain holds *)
   stop_flag : bool Atomic.t;
-  scratch : Buffer.t; (* reply payloads; single-threaded loop *)
+  scratch : Buffer.t; (* reply payloads; loop only *)
   read_chunk : Bytes.t;
   mutable conns : conn list;
   mutable stopping : bool;
@@ -134,6 +238,9 @@ let metrics t = t.metrics
 let running t = t.running
 
 let stop t = Atomic.set t.stop_flag true
+
+(* Events admitted and not yet answered: queued plus in flight. *)
+let admitted t = Queue.length t.pending + List.length t.inflight
 
 let bind_listen addr =
   match addr with
@@ -174,15 +281,56 @@ let bind_listen addr =
       Unix.close fd;
       Error (Printexc.to_string e))
 
+(* Ask the control domain to finish its step and exit, and wait for it:
+   it shuts the manager down on its way out. *)
+let stop_control ctl domain =
+  Atomic.set ctl.quit true;
+  Mutex.lock ctl.lock;
+  Condition.broadcast ctl.cond;
+  Mutex.unlock ctl.lock;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close ctl.wake_r;
+      Unix.close ctl.wake_w)
+    (fun () -> Domain.join domain)
+
 let create ?(config = default_config) g =
   if config.queue_depth < 1 then invalid_arg "Server.create: queue_depth < 1";
   if config.max_frame < 16 then invalid_arg "Server.create: max_frame too small";
-  match Fabric.Manager.create ~config:config.manager g with
-  | Error msg -> Error ("initial routing failed: " ^ msg)
-  | Ok mgr -> (
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let ctl =
+    {
+      lock = Mutex.create ();
+      cond = Condition.create ();
+      started = None;
+      job = None;
+      finished = None;
+      quit = Atomic.make false;
+      wake_r;
+      wake_w;
+    }
+  in
+  let metrics = Metrics.create () in
+  let domain = Domain.spawn (control_main ctl metrics ~config:config.manager g) in
+  Mutex.lock ctl.lock;
+  while Option.is_none ctl.started do
+    Condition.wait ctl.cond ctl.lock
+  done;
+  let started = Option.get ctl.started in
+  Mutex.unlock ctl.lock;
+  match started with
+  | Error (e, bt) ->
+    stop_control ctl domain;
+    Printexc.raise_with_backtrace e bt
+  | Ok (Error msg) ->
+    stop_control ctl domain;
+    Error ("initial routing failed: " ^ msg)
+  | Ok (Ok (mgr, view)) -> (
     match bind_listen config.addr with
     | Error msg ->
-      Fabric.Manager.shutdown mgr;
+      stop_control ctl domain;
       Error msg
     | Ok (listen_fd, actual_addr) ->
       let prev_obs_enabled = Obs.Control.enabled () in
@@ -201,12 +349,17 @@ let create ?(config = default_config) g =
         {
           config;
           mgr;
+          fabric_metrics = Fabric.Manager.metrics mgr;
+          view;
+          ctl;
+          domain;
           listen_fd;
           actual_addr;
-          metrics = Metrics.create ();
+          metrics;
           ring;
           prev_obs_enabled;
           pending = Queue.create ();
+          inflight = [];
           stop_flag = Atomic.make false;
           scratch = Buffer.create 1024;
           read_chunk = Bytes.create 4096;
@@ -264,7 +417,7 @@ let send_busy t conn ~id =
   send_obj t conn ~id ~status:"busy"
     [
       ("error", Obs.Json.Str "admission queue full, retry later");
-      ("queue_depth", Obs.Json.Num (float_of_int (Queue.length t.pending)));
+      ("queue_depth", Obs.Json.Num (float_of_int (admitted t)));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -273,67 +426,68 @@ let send_busy t conn ~id =
 
 (* The zero-copy read path: the reply's path array is emitted straight
    from the epoch snapshot's route arena — no Path.t is materialized,
-   no slice is copied. The snapshot is immutable, so the reply is
-   internally consistent with exactly one certified epoch even if a
-   swap lands between two queries. *)
+   no slice is copied. The view is read once and is immutable, so the
+   reply is internally consistent with exactly one certified epoch even
+   while the control domain installs the next one. *)
 let handle_route t conn ~id ~src ~dst =
   Obs.Counter.incr t.metrics.Metrics.route_queries;
+  if t.inflight <> [] then Obs.Counter.incr t.metrics.Metrics.reads_during_apply;
   Obs.Timer.time t.metrics.Metrics.route_s @@ fun () ->
-  match Fabric.Manager.snapshot t.mgr with
-  | Error e ->
+  let snap = (Atomic.get t.view).snap in
+  let ft = snap.Fabric.Epoch.tables in
+  let g = Ftable.graph ft in
+  let terminal x = x >= 0 && x < Graph.num_nodes g && Graph.is_terminal g x in
+  if not (terminal src) then begin
     Obs.Counter.incr t.metrics.Metrics.route_errors;
-    send_error t conn ~id ("no snapshot: " ^ e)
-  | Ok snap ->
-    let ft = snap.Fabric.Epoch.tables in
-    let g = Ftable.graph ft in
-    let terminal x = x >= 0 && x < Graph.num_nodes g && Graph.is_terminal g x in
-    if not (terminal src) then begin
+    send_error t conn ~id (Printf.sprintf "src %d is not a terminal of the current fabric" src)
+  end
+  else if not (terminal dst) then begin
+    Obs.Counter.incr t.metrics.Metrics.route_errors;
+    send_error t conn ~id (Printf.sprintf "dst %d is not a terminal of the current fabric" dst)
+  end
+  else begin
+    let store = snap.Fabric.Epoch.store in
+    let pair = Ftable.pair_id ft ~src ~dst in
+    if src <> dst && not (Route_store.mem store ~pair) then begin
       Obs.Counter.incr t.metrics.Metrics.route_errors;
-      send_error t conn ~id (Printf.sprintf "src %d is not a terminal of the current fabric" src)
-    end
-    else if not (terminal dst) then begin
-      Obs.Counter.incr t.metrics.Metrics.route_errors;
-      send_error t conn ~id (Printf.sprintf "dst %d is not a terminal of the current fabric" dst)
+      send_error t conn ~id (Printf.sprintf "no route for %d -> %d" src dst)
     end
     else begin
-      let store = snap.Fabric.Epoch.store in
-      let pair = Ftable.pair_id ft ~src ~dst in
-      if src <> dst && not (Route_store.mem store ~pair) then begin
-        Obs.Counter.incr t.metrics.Metrics.route_errors;
-        send_error t conn ~id (Printf.sprintf "no route for %d -> %d" src dst)
-      end
-      else begin
-        let buf = t.scratch in
-        Buffer.clear buf;
-        Buffer.add_string buf "{\"status\":\"ok\"";
-        add_id buf id;
-        Buffer.add_string buf ",\"epoch\":";
-        Buffer.add_string buf (string_of_int snap.Fabric.Epoch.snap_epoch);
-        Buffer.add_string buf ",\"layers\":";
-        Buffer.add_string buf (string_of_int snap.Fabric.Epoch.num_layers);
-        Buffer.add_string buf ",\"layer\":";
-        Buffer.add_string buf (string_of_int (Ftable.layer ft ~src ~dst));
-        let len = if src = dst then 0 else Route_store.length store ~pair in
-        Buffer.add_string buf ",\"hops\":";
-        Buffer.add_string buf (string_of_int len);
-        Buffer.add_string buf ",\"path\":[";
-        if len > 0 then begin
-          let off = Route_store.offset store ~pair in
-          let arena = Route_store.buffer store in
-          for i = 0 to len - 1 do
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (string_of_int arena.(off + i))
-          done
-        end;
-        Buffer.add_string buf "]}";
-        flush_scratch t conn
-      end
+      let buf = t.scratch in
+      Buffer.clear buf;
+      Buffer.add_string buf "{\"status\":\"ok\"";
+      add_id buf id;
+      Buffer.add_string buf ",\"epoch\":";
+      Buffer.add_string buf (string_of_int snap.Fabric.Epoch.snap_epoch);
+      Buffer.add_string buf ",\"layers\":";
+      Buffer.add_string buf (string_of_int snap.Fabric.Epoch.num_layers);
+      Buffer.add_string buf ",\"layer\":";
+      Buffer.add_string buf (string_of_int (Ftable.layer ft ~src ~dst));
+      let len = if src = dst then 0 else Route_store.length store ~pair in
+      Buffer.add_string buf ",\"hops\":";
+      Buffer.add_string buf (string_of_int len);
+      Buffer.add_string buf ",\"path\":[";
+      if len > 0 then begin
+        let off = Route_store.offset store ~pair in
+        let arena = Route_store.buffer store in
+        for i = 0 to len - 1 do
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_string buf (string_of_int arena.(off + i))
+        done
+      end;
+      Buffer.add_string buf "]}";
+      flush_scratch t conn
     end
+  end
+
+let epoch_of v = v.snap.Fabric.Epoch.snap_epoch
+
+let epoch_json t = Obs.Json.Num (float_of_int (epoch_of (Atomic.get t.view)))
 
 let stats_json t =
   Obs.Json.Obj
     [
-      ("manager", Fabric.Metrics.to_json (Fabric.Manager.metrics t.mgr));
+      ("manager", Fabric.Metrics.to_json t.fabric_metrics);
       ("process", Obs.Registry.to_json (Obs.Registry.default ()));
       ("service", Metrics.to_json t.metrics);
     ]
@@ -341,8 +495,8 @@ let stats_json t =
 let handle_stats t conn ~id =
   send_ok t conn ~id
     [
-      ("epoch", Obs.Json.Num (float_of_int (Fabric.Manager.epoch t.mgr)));
-      ("queue_depth", Obs.Json.Num (float_of_int (Queue.length t.pending)));
+      ("epoch", epoch_json t);
+      ("queue_depth", Obs.Json.Num (float_of_int (admitted t)));
       ("connections", Obs.Json.Num (float_of_int (List.length t.conns)));
       ("stats", stats_json t);
     ]
@@ -359,20 +513,24 @@ let handle_trace t conn ~id limit =
         ("spans", Obs.Json.List (List.map Obs.Trace.span_to_json spans));
       ]
 
+(* Lints the installed tables against the live fabric, so entries into
+   channels that went down after the epoch was installed are reported. *)
 let handle_analyze t conn ~id =
-  let report = Analysis.Analyzer.analyze (Fabric.Manager.tables t.mgr) in
+  let v = Atomic.get t.view in
+  let report = Analysis.Analyzer.analyze ~graph:v.graph v.snap.Fabric.Epoch.tables in
   let s = Analysis.Analyzer.to_json ~target:"active-tables" report in
   match Obs.Json.of_string s with
   | Ok j ->
     send_ok t conn ~id
       [
         ("certified", Obs.Json.Bool (Analysis.Analyzer.ok report));
-        ("epoch", Obs.Json.Num (float_of_int (Fabric.Manager.epoch t.mgr)));
+        ("epoch", Obs.Json.Num (float_of_int (epoch_of v)));
         ("report", j);
       ]
   | Error e -> send_error t conn ~id ("analyzer report did not round-trip: " ^ e)
 
 let handle_epoch_info t conn ~id =
+  let v = Atomic.get t.view in
   let entries =
     List.map
       (fun e ->
@@ -382,11 +540,11 @@ let handle_epoch_info t conn ~id =
             ("label", Obs.Json.Str e.Fabric.Epoch.label);
             ("verify_ms", Obs.Json.Num (1000.0 *. e.Fabric.Epoch.verify_s));
           ])
-      (Fabric.Manager.epoch_history t.mgr)
+      v.history
   in
   send_ok t conn ~id
     [
-      ("epoch", Obs.Json.Num (float_of_int (Fabric.Manager.epoch t.mgr)));
+      ("epoch", Obs.Json.Num (float_of_int (epoch_of v)));
       ("history", Obs.Json.List entries);
     ]
 
@@ -395,33 +553,56 @@ let action_string = function
   | Fabric.Manager.Full _ -> "full"
   | Fabric.Manager.Noop -> "noop"
 
-(* Drain the whole admission queue in one go: every admitted event
-   becomes a manager step back-to-back — one "batch" — and the replies
-   land together at the batch boundary. Readers in the same iteration
-   saw the pre-batch snapshot; the next iteration serves the new epoch. *)
-let drain_events t =
-  if not (Queue.is_empty t.pending) then begin
-    let batch_size = Queue.length t.pending in
+(* Hand the whole admission queue to the control domain as one batch,
+   unless it still holds the previous one. *)
+let dispatch t =
+  if t.inflight = [] && not (Queue.is_empty t.pending) then begin
+    t.inflight <- List.of_seq (Queue.to_seq t.pending);
+    Queue.clear t.pending;
     Obs.Counter.incr t.metrics.Metrics.event_batches;
-    while not (Queue.is_empty t.pending) do
-      let conn, ev, id = Queue.pop t.pending in
-      let o = Obs.Timer.time t.metrics.Metrics.apply_s (fun () -> Fabric.Manager.apply t.mgr ev) in
-      Obs.Counter.incr t.metrics.Metrics.events_applied;
-      if not conn.dead then
-        send_ok t conn ~id
-          [
-            ("event", Obs.Json.Str (Fabric.Event.to_string ev));
-            ("applied", Obs.Json.Bool o.Fabric.Manager.applied);
-            ("action", Obs.Json.Str (action_string o.Fabric.Manager.action));
-            ("fallback", Obs.Json.Bool o.Fabric.Manager.fallback);
-            ("epoch", Obs.Json.Num (float_of_int o.Fabric.Manager.epoch));
-            ("note", Obs.Json.Str o.Fabric.Manager.note);
-            ("elapsed_ms", Obs.Json.Num (1000.0 *. o.Fabric.Manager.elapsed_s));
-            ("batch_size", Obs.Json.Num (float_of_int batch_size));
-          ]
-    done;
-    Obs.Counter.set t.metrics.Metrics.queue_depth 0
+    let events = List.map (fun (_, ev, _) -> ev) t.inflight in
+    Mutex.lock t.ctl.lock;
+    t.ctl.job <- Some events;
+    Condition.broadcast t.ctl.cond;
+    Mutex.unlock t.ctl.lock
   end
+
+(* The self-pipe fired: take the finished batch, if any, and answer it —
+   the replies land together at the batch boundary. An exception the
+   control domain raised is re-raised here, on the loop. *)
+let collect t =
+  (try
+     while Unix.read t.ctl.wake_r t.read_chunk 0 (Bytes.length t.read_chunk) > 0 do
+       ()
+     done
+   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ());
+  Mutex.lock t.ctl.lock;
+  let finished = t.ctl.finished in
+  t.ctl.finished <- None;
+  Mutex.unlock t.ctl.lock;
+  match finished with
+  | None -> ()
+  | Some r ->
+    let outcomes = reraise r in
+    let batch = t.inflight in
+    t.inflight <- [];
+    let batch_size = List.length batch in
+    List.iter2
+      (fun (conn, ev, id) o ->
+        if not conn.dead then
+          send_ok t conn ~id
+            [
+              ("event", Obs.Json.Str (Fabric.Event.to_string ev));
+              ("applied", Obs.Json.Bool o.Fabric.Manager.applied);
+              ("action", Obs.Json.Str (action_string o.Fabric.Manager.action));
+              ("fallback", Obs.Json.Bool o.Fabric.Manager.fallback);
+              ("epoch", Obs.Json.Num (float_of_int o.Fabric.Manager.epoch));
+              ("note", Obs.Json.Str o.Fabric.Manager.note);
+              ("elapsed_ms", Obs.Json.Num (1000.0 *. o.Fabric.Manager.elapsed_s));
+              ("batch_size", Obs.Json.Num (float_of_int batch_size));
+            ])
+      batch outcomes;
+    Obs.Counter.set t.metrics.Metrics.queue_depth (admitted t)
 
 let handle_request t conn payload =
   Obs.Counter.incr t.metrics.Metrics.requests;
@@ -443,7 +624,7 @@ let handle_request t conn payload =
           [
             ("server", Obs.Json.Str "fabric_service");
             ("proto", Obs.Json.Num (float_of_int Proto.version));
-            ("epoch", Obs.Json.Num (float_of_int (Fabric.Manager.epoch t.mgr)));
+            ("epoch", epoch_json t);
           ]
       | _ when t.stopping ->
         (* the drain phase serves nothing new; admitted work still
@@ -451,11 +632,11 @@ let handle_request t conn payload =
         send_error t conn ~id "shutting down"
       | Proto.Route { src; dst } -> handle_route t conn ~id ~src ~dst
       | Proto.Event ev ->
-        if Queue.length t.pending >= t.config.queue_depth then send_busy t conn ~id
+        if admitted t >= t.config.queue_depth then send_busy t conn ~id
         else begin
           Queue.push (conn, ev, id) t.pending;
           Obs.Counter.incr t.metrics.Metrics.events_enqueued;
-          let depth = Queue.length t.pending in
+          let depth = admitted t in
           Obs.Counter.set t.metrics.Metrics.queue_depth depth;
           if depth > Obs.Counter.value t.metrics.Metrics.queue_peak then
             Obs.Counter.set t.metrics.Metrics.queue_peak depth
@@ -466,7 +647,7 @@ let handle_request t conn payload =
       | Proto.Epoch_info -> handle_epoch_info t conn ~id
       | Proto.Shutdown ->
         Log.info (fun m -> m "shutdown requested by client %d" conn.cid);
-        send_ok t conn ~id [ ("epoch", Obs.Json.Num (float_of_int (Fabric.Manager.epoch t.mgr))) ];
+        send_ok t conn ~id [ ("epoch", epoch_json t) ];
         Atomic.set t.stop_flag true))
 
 (* ------------------------------------------------------------------ *)
@@ -577,20 +758,24 @@ let cull t =
     dead;
   t.conns <- alive
 
+(* The control domain goes first: it finishes the step in flight and
+   shuts the manager down before the join returns. *)
 let teardown t =
-  List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
-  t.conns <- [];
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.actual_addr with
-  | Proto.Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Proto.Tcp _ -> ());
-  (match t.ring with
-  | Some _ ->
-    Obs.Trace.set_sink None;
-    Obs.Control.set_enabled t.prev_obs_enabled
-  | None -> ());
-  Fabric.Manager.shutdown t.mgr;
-  t.running <- false
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
+      t.conns <- [];
+      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+      (match t.actual_addr with
+      | Proto.Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+      | Proto.Tcp _ -> ());
+      (match t.ring with
+      | Some _ ->
+        Obs.Trace.set_sink None;
+        Obs.Control.set_enabled t.prev_obs_enabled
+      | None -> ());
+      t.running <- false)
+    (fun () -> stop_control t.ctl t.domain)
 
 let serve t =
   Fun.protect ~finally:(fun () -> teardown t)
@@ -604,7 +789,7 @@ let serve t =
       t.drain_until <- Unix.gettimeofday () +. t.config.drain_s
     end;
     let reads =
-      (if t.stopping then [] else [ t.listen_fd ])
+      (t.ctl.wake_r :: (if t.stopping then [] else [ t.listen_fd ]))
       @ List.filter_map (fun c -> if c.dead then None else Some c.fd) t.conns
     in
     let writes =
@@ -613,21 +798,21 @@ let serve t =
     (match Unix.select reads writes [] t.config.tick_s with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, writable, _ ->
+      if List.mem t.ctl.wake_r readable then collect t;
       if List.mem t.listen_fd readable then accept_clients t;
       List.iter
         (fun c -> if (not c.dead) && List.mem c.fd readable then handle_readable t c)
         t.conns;
-      (* mutating requests admitted this iteration become one batched
-         manager step group, replies at the batch boundary *)
-      drain_events t;
+      (* events admitted while the control domain was busy leave as the
+         next batch *)
+      dispatch t;
       List.iter
         (fun c ->
           if (not c.dead) && (List.mem c.fd writable || c.outlen > c.outpos) then handle_writable c)
         t.conns);
     cull t;
-    if t.stopping then begin
-      (* even during drain, admitted events complete *)
-      drain_events t;
+    (* even during drain, admitted events complete and are answered *)
+    if t.stopping && admitted t = 0 then begin
       let pending_out = List.exists (fun c -> c.outlen > c.outpos) t.conns in
       if (not pending_out) || Unix.gettimeofday () > t.drain_until then continue := false
     end

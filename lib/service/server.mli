@@ -1,32 +1,44 @@
-(** The fabric controller daemon: a single-threaded, select-based event
-    loop wrapping a {!Fabric.Manager}, serving many concurrent clients
-    over the {!Proto} wire protocol.
+(** The fabric controller daemon: a select-based event loop serving many
+    concurrent clients over the {!Proto} wire protocol, and one control
+    domain that owns the {!Fabric.Manager} and applies topology events
+    off the serving path, the way a subnet manager computes new tables
+    while the switches keep forwarding on the installed ones.
 
     Design (DESIGN.md §14):
 
-    - {b Reads are immediate and zero-copy.} Route queries resolve
-      against the current epoch's {!Fabric.Epoch.snapshot} — paths are
-      emitted straight from the {!Route_store} arena into the reply
-      buffer, no per-query path materialization. A snapshot is immutable,
-      so a reply under construction can never observe a half-swapped
-      table; readers of an old epoch drain gracefully because the swap
-      installs a new snapshot instead of mutating the exported one.
+    - {b Reads never wait for reconvergence.} After every manager step
+      the control domain publishes an immutable view — the installed
+      {!Fabric.Epoch.snapshot}, the live fabric and the epoch history —
+      through one atomic. [route], [ping], [epoch] and [analyze] read
+      that view once per request, so a reply comes from exactly one
+      certified epoch, the latest installed one, never from a
+      half-applied step. Route paths are emitted straight from the
+      snapshot's {!Route_store} arena into the reply buffer.
     - {b Writes are admission-controlled and batched.} Topology events
-      enter a bounded queue; when it is full the client gets an explicit
-      [{"status":"busy"}] reply {e immediately} — load is shed visibly,
-      never by hanging or silent drops. The queue is drained in one step
-      per loop iteration: every admitted event becomes a manager step
-      back-to-back, replies are sent at the batch boundary.
+      enter a bounded queue; [queue_depth] bounds the events admitted
+      and not yet answered (queued plus in flight). Beyond it a client
+      gets an explicit [{"status":"busy"}] reply {e immediately} — load
+      is shed visibly, never by hanging or silent drops. Whenever the
+      control domain is idle, the loop hands it everything queued as one
+      batch; the domain applies it step by step and wakes the loop
+      through a self-pipe, and the batch's replies go out together at
+      the batch boundary. Once an event's reply has been sent, every
+      read serves that event's epoch or a newer one.
     - {b Shutdown is graceful everywhere.} A [shutdown] request, {!stop}
-      (signal-handler safe) or an exception all funnel into the same
-      teardown: drain pending replies (bounded by [drain_s]), close
-      sockets, unlink the Unix socket path, and
-      {!Fabric.Manager.shutdown} the manager so worker domains are
-      released and trace sinks flushed. *)
+      (signal-handler safe) or an exception — including one raised on
+      the control domain, which is re-raised on the loop — all funnel
+      into the same teardown: admitted events are still applied and
+      answered, replies drained (bounded by [drain_s]); then the control
+      domain finishes its step in flight, shuts the manager down
+      ({!Fabric.Manager.shutdown}: worker domains released, trace sinks
+      flushed) and is joined; sockets are closed and the Unix socket
+      path unlinked. *)
 
 type config = {
   addr : Proto.addr;
-  queue_depth : int;  (** admission bound for pending topology events *)
+  queue_depth : int;
+      (** admission bound: topology events admitted and not yet answered
+          (queued plus in flight) *)
   max_frame : int;  (** refuse request frames larger than this *)
   tick_s : float;  (** select timeout: stop/drain latency bound *)
   trace_capacity : int;
@@ -43,11 +55,12 @@ val default_config : config
 
 type t
 
-(** [create g] routes the initial fabric (exactly {!Fabric.Manager.create})
-    and binds the listening socket; clients may connect as soon as this
-    returns, even before {!serve} starts accepting. [Error] if the fabric
-    cannot be routed or the address cannot be bound (an existing socket
-    path is refused, not clobbered — remove it explicitly). *)
+(** [create g] starts the control domain, which routes the initial
+    fabric (exactly {!Fabric.Manager.create}), and binds the listening
+    socket; clients may connect as soon as this returns, even before
+    {!serve} starts accepting. [Error] if the fabric cannot be routed or
+    the address cannot be bound (an existing socket path is refused, not
+    clobbered — remove it explicitly). *)
 val create : ?config:config -> Graph.t -> (t, string) result
 
 val config : t -> config
@@ -56,12 +69,17 @@ val config : t -> config
     kernel picked. *)
 val addr : t -> Proto.addr
 
+(** The manager the control domain owns. Inspect it only while no
+    event is admitted and unanswered (before {!serve}, after every
+    event's reply, or after {!serve} returned), and never mutate it. *)
 val manager : t -> Fabric.Manager.t
+
 val metrics : t -> Metrics.t
 
 (** [serve t] runs the event loop until a [shutdown] request or {!stop},
-    then tears down (sockets closed, path unlinked, manager shut down) —
-    even when the loop body raises. Call at most once. *)
+    then tears down (control domain joined, manager shut down, sockets
+    closed, path unlinked) — even when the loop body or the control
+    domain raises. Call at most once. *)
 val serve : t -> unit
 
 (** Request a graceful stop from a signal handler or another thread; the

@@ -290,6 +290,23 @@ let test_manager_fallback_on_layer_budget () =
   check Alcotest.bool "fallback counted" true (Fabric.Metrics.fallbacks (Fabric.Manager.metrics mgr) >= 1);
   check Alcotest.bool "converged despite the fallback" true (Fabric.Manager.converged mgr)
 
+(* The healthy 8x8 torus needs all 8 layers; downing cable 290 forces a
+   full recompute that runs out of layers, so the stale epoch stays. That
+   event must show up in the counters and in the printed summary. *)
+let test_manager_counts_failed_full_recompute () =
+  let g = fst (Topo_torus.torus ~dims:[| 8; 8 |] ~terminals_per_switch:4) in
+  let mgr = Result.get_ok (Fabric.Manager.create g) in
+  let o = Fabric.Manager.apply mgr (Fabric.Event.Link_down 290) in
+  check Alcotest.bool "applied" true o.Fabric.Manager.applied;
+  check Alcotest.bool "no epoch installed" true (o.Fabric.Manager.verify = None);
+  check Alcotest.int "stale epoch kept" 1 o.Fabric.Manager.epoch;
+  let m = Fabric.Manager.metrics mgr in
+  check Alcotest.int "failure counted" 1 (Fabric.Metrics.full_recompute_failures m);
+  check Alcotest.int "no full recompute succeeded" 0 (Fabric.Metrics.full_recomputes m);
+  let printed = Format.asprintf "%a" Fabric.Metrics.pp m in
+  check Alcotest.bool "summary shows the failure" true
+    (Testutil.contains printed "full recomputes: 0, failed: 1")
+
 (* The acceptance run from the issue: 4x4x4 torus, 10-event mixed
    schedule (link downs, a link up, one switch removal). Every applied
    event must end in a verified deadlock-free swap, and single-link
@@ -716,6 +733,7 @@ let () =
           Alcotest.test_case "single link down/up incremental" `Quick test_manager_single_link_incremental;
           Alcotest.test_case "bad events rejected" `Quick test_manager_rejects_bad_event;
           Alcotest.test_case "layer budget fallback" `Quick test_manager_fallback_on_layer_budget;
+          Alcotest.test_case "failed full recompute counted" `Quick test_manager_counts_failed_full_recompute;
           Alcotest.test_case "acceptance: 4x4x4 torus, mixed schedule" `Quick test_manager_acceptance_4x4x4;
         ] );
       ( "epoch-snapshot",

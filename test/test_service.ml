@@ -446,6 +446,164 @@ let test_soak_64_clients_under_churn () =
   ()
 
 (* ------------------------------------------------------------------ *)
+(* Control domain: reads are served while an event is applied           *)
+(* ------------------------------------------------------------------ *)
+
+(* The healthy 8x8 torus needs all 8 layers, so downing cable 290 forces
+   a full recompute that runs out of layers: a long manager step that
+   ends with the stale epoch 1 still installed. *)
+let torus8 () = fst (Topo_torus.torus ~dims:[| 8; 8 |] ~terminals_per_switch:4)
+
+let down_290 = {|{"op":"event","event":"down 290","id":"ev"}|}
+
+let raw_connect = function
+  | Service.Proto.Unix_path path ->
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    fd
+  | Service.Proto.Tcp _ -> Alcotest.fail "unix sockets only"
+
+let read_reply fd =
+  match Service.Proto.read_frame fd with
+  | Ok (Some reply) -> Result.get_ok (Obs.Json.of_string reply)
+  | Ok None -> Alcotest.fail "server closed the connection"
+  | Error msg -> Alcotest.failf "read reply: %s" msg
+
+let json_num k j =
+  match Option.bind (Obs.Json.member k j) Obs.Json.to_float with
+  | Some x -> x
+  | None -> Alcotest.failf "reply lacks %s: %s" k (Obs.Json.to_string j)
+
+let check_status want j =
+  check Alcotest.(option string) "status" (Some want) (Option.bind (Obs.Json.member "status" j) Obs.Json.to_str)
+
+let replied fd =
+  let readable, _, _ = Unix.select [ fd ] [] [] 0.0 in
+  readable <> []
+
+let test_route_answered_during_apply () =
+  let g = torus8 () in
+  with_server g (fun addr server ->
+      let ev = raw_connect addr and c = connect addr in
+      Fun.protect
+        ~finally:(fun () ->
+          Service.Client.close c;
+          Unix.close ev)
+        (fun () ->
+          let terms = Graph.terminals g in
+          let src = terms.(0) and dst = terms.(Array.length terms - 1) in
+          Service.Proto.write_frame ev down_290;
+          Thread.delay 0.01;
+          let r = ok (Service.Client.route c ~src ~dst) in
+          check Alcotest.bool "route answered before the event's reply" false (replied ev);
+          check Alcotest.int "served from the installed epoch" 1 r.Service.Client.epoch;
+          check Alcotest.bool "counted as a read during apply" true
+            (Obs.Counter.value (Service.Server.metrics server).Service.Metrics.reads_during_apply >= 1);
+          let reply = read_reply ev in
+          check_status "ok" reply;
+          check Alcotest.bool "the step was long enough to have blocked the read" true
+            (json_num "elapsed_ms" reply >= 100.0);
+          check Alcotest.int "stale epoch kept" 1 (int_of_float (json_num "epoch" reply));
+          ok (Service.Client.shutdown c)))
+
+(* Reads pipelined behind an event on one connection: once the event's
+   reply has arrived, no read may come from an older epoch. *)
+let test_reads_after_event_reply_not_older () =
+  let g = torus [| 4; 4 |] in
+  with_server g (fun addr _server ->
+      let fd = raw_connect addr in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let terms = Graph.terminals g in
+          let src = terms.(0) and dst = terms.(Array.length terms - 1) in
+          let schedule = Fabric.Schedule.generate g ~rng:(Rng.create 5) ~events:6 () in
+          let floor = ref 1 and last = ref 1 and next_id = ref 0 in
+          List.iter
+            (fun ev ->
+              Service.Proto.write_frame fd
+                (Printf.sprintf {|{"op":"event","event":"%s","id":"ev"}|} (Fabric.Event.to_string ev));
+              let answered = ref false and reads_after = ref 0 in
+              while !reads_after < 5 do
+                incr next_id;
+                let id = !next_id in
+                if id > 100_000 then Alcotest.fail "event never answered";
+                Service.Proto.write_frame fd
+                  (Printf.sprintf {|{"op":"route","src":%d,"dst":%d,"id":%d}|} src dst id);
+                let rec await () =
+                  let j = read_reply fd in
+                  check_status "ok" j;
+                  let epoch = int_of_float (json_num "epoch" j) in
+                  match Obs.Json.member "id" j with
+                  | Some (Obs.Json.Str "ev") ->
+                    answered := true;
+                    floor := epoch;
+                    await ()
+                  | Some (Obs.Json.Num x) when int_of_float x = id ->
+                    if epoch < !last then Alcotest.failf "read %d: epoch went back from %d to %d" id !last epoch;
+                    last := epoch;
+                    if !answered then begin
+                      if epoch < !floor then
+                        Alcotest.failf "read %d after the reply of epoch %d served epoch %d" id !floor epoch;
+                      incr reads_after
+                    end
+                  | _ -> Alcotest.failf "unexpected reply %s" (Obs.Json.to_string j)
+                in
+                await ()
+              done)
+            schedule;
+          check Alcotest.bool "the schedule installed new epochs" true (!floor > 1)))
+
+(* [Server.stop] lands while a step is in flight: the step finishes, its
+   event is answered, [serve] returns and the socket is unlinked. *)
+let test_stop_while_step_in_flight () =
+  let path = fresh_sock_path () in
+  match Service.Server.create ~config:(config path) (torus8 ()) with
+  | Error msg -> Alcotest.failf "server create: %s" msg
+  | Ok server ->
+    let th = Thread.create Service.Server.serve server in
+    let fd = raw_connect (Service.Proto.Unix_path path) in
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close fd;
+        Service.Server.stop server;
+        try Unix.unlink path with Unix.Unix_error _ -> ())
+      (fun () ->
+        Service.Proto.write_frame fd down_290;
+        let batches () = Obs.Counter.value (Service.Server.metrics server).Service.Metrics.event_batches in
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while batches () = 0 && Unix.gettimeofday () < deadline do
+          Thread.delay 0.001
+        done;
+        check Alcotest.int "the event was handed to the control domain" 1 (batches ());
+        Service.Server.stop server;
+        check Alcotest.bool "stop landed while the step was in flight" false (replied fd);
+        let reply = read_reply fd in
+        check_status "ok" reply;
+        check Alcotest.(option string) "the event's reply" (Some "down 290")
+          (Option.bind (Obs.Json.member "event" reply) Obs.Json.to_str);
+        Thread.join th;
+        check Alcotest.bool "serve returned" false (Service.Server.running server);
+        check Alcotest.bool "socket unlinked" false (Sys.file_exists path))
+
+(* [analyze] lints the installed tables against the live fabric: after
+   the failed recompute, epoch 1 still forwards into cable 290. *)
+let test_analyze_sees_live_fabric () =
+  with_server (torus8 ()) (fun addr _server ->
+      let c = connect addr in
+      Fun.protect ~finally:(fun () -> Service.Client.close c) (fun () ->
+          let certified, _ = ok (Service.Client.analyze c) in
+          check Alcotest.bool "healthy fabric certified" true certified;
+          (match ok (Service.Client.event c (Fabric.Event.Link_down 290)) with
+          | Service.Client.Applied { epoch; _ } -> check Alcotest.int "stale epoch kept" 1 epoch
+          | Service.Client.Busy _ -> Alcotest.fail "unloaded server claimed busy");
+          let certified, report = ok (Service.Client.analyze c) in
+          check Alcotest.bool "stale tables not certified" false certified;
+          check Alcotest.bool "dead entries reported" true
+            (Testutil.contains (Obs.Json.to_string report) "A005");
+          ok (Service.Client.shutdown c)))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "service"
@@ -467,4 +625,11 @@ let () =
         [ Alcotest.test_case "pipelined overflow shed as busy" `Quick test_backpressure_sheds_load ] );
       ( "soak",
         [ Alcotest.test_case "64 clients under churn" `Slow test_soak_64_clients_under_churn ] );
+      ( "control-domain",
+        [
+          Alcotest.test_case "route answered during apply" `Quick test_route_answered_during_apply;
+          Alcotest.test_case "reads after a reply not older" `Quick test_reads_after_event_reply_not_older;
+          Alcotest.test_case "stop while a step is in flight" `Quick test_stop_while_step_in_flight;
+          Alcotest.test_case "analyze against the live fabric" `Quick test_analyze_sees_live_fabric;
+        ] );
     ]
