@@ -1,4 +1,4 @@
-.PHONY: all check test lint doc clean examples bench-selfcheck bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke
+.PHONY: all check test lint doc clean examples bench-selfcheck bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke oracle-boundary domains-smoke
 
 all:
 	dune build
@@ -6,17 +6,44 @@ all:
 # The tier-1 gate: everything compiles (dev and release profiles),
 # every test suite passes (runtest includes test_parallel, the 2-domain
 # determinism smoke of the parallel routing pipeline, and test_spf, the
-# kernel-equivalence property suite), the routing certifier signs off
-# on the example topologies, the SSSP kernels agree bit-for-bit on
-# the quick equivalence fixtures, the two cycle-break engines agree
-# on a small torus (break-smoke), the topology-zoo conformance battery
-# certifies every corpus file and generator sample, a quick churn
-# soak (>= 200 seeded events) survives with every epoch recertified,
-# the controller benchmark's self-check drives every benchmark path
-# on small fabrics, and the examples that claim deadlock freedom hold
-# their claims.
+# kernel-equivalence property suite; test_zoo also holds the zoo's
+# kernel and break-engine parity checks), no shipped library or binary
+# links the test-only oracles (oracle-boundary), the routing certifier
+# signs off on the example topologies, the SSSP kernels agree
+# bit-for-bit on the quick equivalence fixtures, the SCC cycle-break
+# engine stays within a layer of the DFS oracle on a small torus
+# (break-smoke), the topology-zoo conformance battery certifies every
+# corpus file and generator sample, `--domains` leaves the manager's
+# tables unchanged (domains-smoke), a quick churn soak (>= 200 seeded
+# events) survives with every epoch recertified, the controller
+# benchmark's self-check drives every benchmark path on small fabrics,
+# and the examples that claim deadlock freedom hold their claims.
 check:
-	dune build && dune build --profile release && dune runtest && $(MAKE) lint && $(MAKE) analyze-examples && $(MAKE) kernel-equivalence && $(MAKE) break-smoke && $(MAKE) smoke-service && $(MAKE) zoo && $(MAKE) soak-smoke && $(MAKE) bench-selfcheck && $(MAKE) examples
+	dune build && dune build --profile release && dune runtest && $(MAKE) oracle-boundary && $(MAKE) lint && $(MAKE) analyze-examples && $(MAKE) kernel-equivalence && $(MAKE) break-smoke && $(MAKE) smoke-service && $(MAKE) zoo && $(MAKE) domains-smoke && $(MAKE) soak-smoke && $(MAKE) bench-selfcheck && $(MAKE) examples
+
+# The oracle boundary, part of `check`: the reference oracles in
+# test/oracle (the Kahn check, the Hashtbl CDG, the one-cycle-at-a-time
+# DFS cycle breaker) exist only to check production code, so no dune
+# file under lib/ or bin/ may name the `oracle` library.
+oracle-boundary:
+	@if grep -rnw --include=dune oracle lib bin; then \
+	  echo "oracle-boundary: lib/ or bin/ names the test-only oracle library"; exit 1; \
+	fi; \
+	echo "oracle-boundary: OK"
+
+# `--domains` changes only the wall clock, part of `check`: the
+# manager's tables after one seeded event on a torus must report the
+# same `active tables:` line with one routing domain and with two.
+domains-smoke:
+	@set -e; \
+	dune build bin/fabric_tool.exe; \
+	tool=_build/default/bin/fabric_tool.exe; \
+	one=$$($$tool manage torus:6x6:2 --events 1 --seed 3 --domains 1 | grep '^active tables:'); \
+	two=$$($$tool manage torus:6x6:2 --events 1 --seed 3 --domains 2 | grep '^active tables:'); \
+	[ -n "$$one" ] || { echo "domains-smoke: no active tables line"; exit 1; }; \
+	[ "$$one" = "$$two" ] || { echo "domains-smoke: --domains changed the tables"; \
+	  echo "  --domains 1: $$one"; echo "  --domains 2: $$two"; exit 1; }; \
+	echo "domains-smoke: OK ($$one)"
 
 # The examples that assert deadlock freedom, part of `check`: each exits
 # non-zero when its stated claim fails (quickstart: DFSSSP certified,
@@ -37,8 +64,10 @@ bench-selfcheck:
 
 # Topology-zoo conformance battery (doc/topology_ingestion.md): every
 # file under examples/zoo plus the seeded jellyfish/xpander samples,
-# through the full registry, certifier, existence lower bounds and
-# kernel/engine parity. Exit 0 iff zero conformance failures.
+# through the full registry, certifier and existence lower bounds. Exit
+# 0 iff zero conformance failures. The kernel and break-engine parity
+# checks against the test oracles run on the same subjects in
+# test/test_zoo.ml.
 zoo:
 	dune exec bin/fabric_tool.exe -- zoo
 
@@ -85,7 +114,8 @@ bench-analysis:
 	dune exec --profile release bench/analysis_bench.exe
 
 # Cycle-break engine benchmark (DESIGN.md §17): SCC condensation vs the
-# one-cycle-at-a-time DFS oracle, sequential and across domains, with
+# one-cycle-at-a-time DFS oracle (Oracle.Layers_dfs in test/oracle, the
+# benchmark's only link to it), sequential and across domains, with
 # per-stage condense/evict/rebuild splits. Writes
 # bench_results/cycle_break.json; fails if SCC is under 2x DFS on the
 # torus workloads, a layer count drifts past oracle+1, or parallel
@@ -94,8 +124,8 @@ bench-break:
 	dune exec --profile release bench/break_bench.exe
 
 # Quick engine-parity mode of the same binary (seconds, no timing
-# gates): both engines must agree on layers within +1 on a small torus.
-# Part of `check`.
+# gates): the SCC engine must stay within +1 layer of the DFS oracle on
+# a small torus. Part of `check`.
 break-smoke:
 	dune exec --profile release bench/break_bench.exe -- --quick
 

@@ -54,15 +54,15 @@ type row = {
 let measure name g =
   Printf.eprintf "measuring %s...\n%!" name;
   (* the cost being gated: one full dfsssp route build over the fabric
-     (routes, cycle breaking, layer assignment) as shipped — recommended
-     SSSP batch, default kernel, default break engine — timed once, it
-     is the dominant term by design *)
+     (routes, cycle breaking, layer assignment) — recommended SSSP
+     batch, default kernel, default break engine — timed once, it is
+     the dominant term by design *)
+  let config =
+    { Dfsssp.Config.default with max_layers = 64; batch = Routing.Sssp.recommended_batch }
+  in
   let t0 = Unix.gettimeofday () in
   let ft =
-    match
-      Harness.Runs.run_named ~max_layers:64 ~batch:Routing.Sssp.recommended_batch
-        ~kernel:Routing.Spf.Auto "dfsssp" g
-    with
+    match Harness.Runs.run_named ~config "dfsssp" g with
     | Ok ft -> ft
     | Error msg -> failwith (Printf.sprintf "%s: dfsssp refused: %s" name msg)
   in

@@ -1,8 +1,8 @@
 (* Benchmark gate for the cycle-break engines (DESIGN.md section 17):
-   the SCC-condensation engine vs the one-cycle-at-a-time DFS oracle,
-   sequentially and across domains, with the per-stage
-   condense/evict/rebuild split read from the always-on [layers.*]
-   timers. Destinations are sampled at an even stride across the
+   the SCC-condensation engine vs the one-cycle-at-a-time DFS oracle
+   ({!Oracle.Layers_dfs}), sequentially and across domains, with the
+   per-stage condense/evict/rebuild split read from each engine's
+   always-on stage timers. Destinations are sampled at an even stride across the
    terminal range — contiguous blocks on a big torus produce acyclic
    CDGs, which would make break time a measure of nothing.
 
@@ -21,10 +21,39 @@
    the SCC assignment on one workload printing wall time and GC deltas
    per round — a diagnostic for heap-regime swings, no gates. *)
 
-let timer_sum name =
+let registry_timer name =
   match Obs.Registry.find_timer (Obs.Registry.default ()) name with
-  | Some t -> Obs.Timer.sum_s t
-  | None -> 0.0
+  | Some t -> t
+  | None -> failwith ("no timer " ^ name)
+
+(* An engine under test: its assignment and its condense/evict/rebuild
+   stage timers. *)
+type engine = {
+  run : Route_store.t -> domains:int -> (Layers.outcome, string) result;
+  condense : Obs.Timer.t;
+  evict : Obs.Timer.t;
+  rebuild : Obs.Timer.t;
+}
+
+let scc =
+  {
+    run =
+      (fun store ~domains ->
+        Layers.assign_store ~domains store ~max_layers:64 ~heuristic:Heuristic.Weakest);
+    condense = registry_timer "layers.condense";
+    evict = registry_timer "layers.evict";
+    rebuild = registry_timer "layers.rebuild";
+  }
+
+let dfs =
+  {
+    run =
+      (fun store ~domains:_ ->
+        Oracle.Layers_dfs.assign_store store ~max_layers:64 ~heuristic:Heuristic.Weakest);
+    condense = Oracle.Layers_dfs.condense;
+    evict = Oracle.Layers_dfs.evict;
+    rebuild = Oracle.Layers_dfs.rebuild;
+  }
 
 type stages = {
   condense_ms : float;
@@ -39,10 +68,10 @@ type run = {
   broken : int;
 }
 
-let single_run f =
-  let c0 = timer_sum "layers.condense" in
-  let e0 = timer_sum "layers.evict" in
-  let r0 = timer_sum "layers.rebuild" in
+let single_run (engine, f) =
+  let c0 = Obs.Timer.sum_s engine.condense in
+  let e0 = Obs.Timer.sum_s engine.evict in
+  let r0 = Obs.Timer.sum_s engine.rebuild in
   let t0 = Unix.gettimeofday () in
   let outcome = f () in
   let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
@@ -50,9 +79,9 @@ let single_run f =
     wall_ms;
     stages =
       {
-        condense_ms = 1000.0 *. (timer_sum "layers.condense" -. c0);
-        evict_ms = 1000.0 *. (timer_sum "layers.evict" -. e0);
-        rebuild_ms = 1000.0 *. (timer_sum "layers.rebuild" -. r0);
+        condense_ms = 1000.0 *. (Obs.Timer.sum_s engine.condense -. c0);
+        evict_ms = 1000.0 *. (Obs.Timer.sum_s engine.evict -. e0);
+        rebuild_ms = 1000.0 *. (Obs.Timer.sum_s engine.rebuild -. r0);
       };
     layers = outcome.Layers.layers_used;
     broken = outcome.Layers.cycles_broken;
@@ -111,9 +140,7 @@ let build_workload name g ~num_dsts ~gated_2x =
   { name; gated_2x; store; pairs = Route_store.num_paths store; cdg_edges }
 
 let assign w ~engine ~domains () =
-  match
-    Layers.assign_store ~engine ~domains w.store ~max_layers:64 ~heuristic:Heuristic.Weakest
-  with
+  match engine.run w.store ~domains with
   | Ok o -> o
   | Error msg -> failwith (Printf.sprintf "%s: cycle breaking failed: %s" w.name msg)
 
@@ -138,9 +165,9 @@ let measure ~domains ~rounds build =
   let runs =
     race_runs ~rounds
       [|
-        assign w ~engine:`Dfs ~domains:1;
-        assign w ~engine:`Scc ~domains:1;
-        assign w ~engine:`Scc ~domains;
+        (dfs, assign w ~engine:dfs ~domains:1);
+        (scc, assign w ~engine:scc ~domains:1);
+        (scc, assign w ~engine:scc ~domains);
       |]
   in
   { w; dfs = runs.(0); scc_seq = runs.(1); scc_par = runs.(2) }
@@ -183,8 +210,8 @@ let run_quick () =
       (fst (Topo_torus.torus ~dims:[| 8; 8 |] ~terminals_per_switch:2))
       ~num_dsts:64 ~gated_2x:false
   in
-  let dfs = assign w ~engine:`Dfs ~domains:1 () in
-  let scc = assign w ~engine:`Scc ~domains:1 () in
+  let dfs = assign w ~engine:dfs ~domains:1 () in
+  let scc = assign w ~engine:scc ~domains:1 () in
   let ok = scc.Layers.layers_used <= dfs.Layers.layers_used + 1 in
   Printf.printf "break smoke %-10s dfs %d layer(s) / %d broken, scc %d layer(s) / %d evicted: %s\n"
     w.name dfs.Layers.layers_used dfs.Layers.cycles_broken scc.Layers.layers_used
@@ -205,7 +232,7 @@ let run_probe () =
   for i = 1 to 12 do
     let s = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
-    let o = assign w ~engine:`Scc ~domains:1 () in
+    let o = assign w ~engine:scc ~domains:1 () in
     let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
     let s' = Gc.quick_stat () in
     Printf.printf "round %2d: %8.2f ms (%d layers) minor+%d major+%d heap %.1fMB\n%!" i ms

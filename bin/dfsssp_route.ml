@@ -27,14 +27,15 @@ let run verbose topology algorithm max_vls heuristic_name online balance ebb_pat
       Printf.eprintf "%s\n" msg;
       2
     | Ok heuristic -> (
+      let config = { Dfsssp.Config.default with max_layers = max_vls } in
       let result =
         match String.lowercase_ascii algorithm with
         | "dfsssp" ->
           let variant = if online then Dfsssp.Online else Dfsssp.Offline in
           Result.map_error Dfsssp.error_to_string
-            (Dfsssp.route ~variant ~heuristic ~max_layers:max_vls ~balance g)
+            (Dfsssp.route ~config ~variant ~heuristic ~balance g)
         | name -> (
-          match Dfsssp.Registry.find ?coords:spec.Harness.Topospec.coords ~max_layers:max_vls name with
+          match Dfsssp.Registry.find ?coords:spec.Harness.Topospec.coords ~config name with
           | None ->
             Error
               (Printf.sprintf "unknown algorithm %S (known: %s)" name

@@ -24,14 +24,28 @@ let known =
   ]
 
 let run name scale patterns max_endpoints trials domains csv_dir =
+  (* Figs. 7-8 with --domains time the batched-snapshot pipeline, the
+     only one that spreads a plane over domains. *)
+  let config =
+    match domains with
+    | None -> Dfsssp.Config.default
+    | Some domains ->
+      { Dfsssp.Config.default with domains; batch = Routing.Sssp.recommended_batch }
+  in
+  match Dfsssp.Config.validate config with
+  | Error msg ->
+    prerr_endline msg;
+    2
+  | Ok config ->
+  let domains = config.Dfsssp.Config.domains in
   let table =
     match String.lowercase_ascii name with
     | "table1" -> Some (Harness.Tableone.table ())
-    | "fig4" -> Some (Harness.Fig_bandwidth.fig4 ~scale ~patterns ?domains ())
-    | "fig5" -> Some (Harness.Fig_bandwidth.fig5 ~max_endpoints ~patterns ?domains ())
-    | "fig6" -> Some (Harness.Fig_bandwidth.fig6 ~max_endpoints ~patterns ?domains ())
-    | "fig7" -> Some (Harness.Fig_runtime.fig7 ~max_endpoints ?domains ())
-    | "fig8" -> Some (Harness.Fig_runtime.fig8 ~scale ?domains ())
+    | "fig4" -> Some (Harness.Fig_bandwidth.fig4 ~scale ~patterns ~domains ())
+    | "fig5" -> Some (Harness.Fig_bandwidth.fig5 ~max_endpoints ~patterns ~domains ())
+    | "fig6" -> Some (Harness.Fig_bandwidth.fig6 ~max_endpoints ~patterns ~domains ())
+    | "fig7" -> Some (Harness.Fig_runtime.fig7 ~max_endpoints ~config ())
+    | "fig8" -> Some (Harness.Fig_runtime.fig8 ~scale ~config ())
     | "fig9" -> Some (Harness.Fig_vls.fig9 ~trials ())
     | "fig9-full" ->
       Some

@@ -264,8 +264,8 @@ let analyze_cmd =
             None
           | Ok t -> (
             match
-              Harness.Runs.run_named ?coords:t.Harness.Topospec.coords ~max_layers algorithm
-                t.Harness.Topospec.graph
+              Harness.Runs.run_named ?coords:t.Harness.Topospec.coords
+                ~config:{ Dfsssp.Config.default with max_layers } algorithm t.Harness.Topospec.graph
             with
             | Error msg ->
               Format.eprintf "%s: %s refused: %s@." spec algorithm msg;
@@ -355,22 +355,45 @@ let analyze_cmd =
       $ existence $ min_layers $ witness_out $ explain)
 
 (* Schedule source shared by manage and trace: a file to replay, or a
-   generated mix of cable faults, switch removals and drains. *)
-let load_schedule g ~schedule_file ~seed ~events ~removals ~drains =
-  match schedule_file with
-  | Some path -> (
-    match Fabric.Schedule.of_string (In_channel.with_open_text path In_channel.input_all) with
-    | Ok s -> Ok s
-    | Error msg -> Error (Printf.sprintf "schedule %s: %s" path msg))
-  | None ->
-    let rng = Netgraph.Rng.create seed in
-    Ok (Fabric.Schedule.generate g ~rng ~events ~switch_removals:removals ~drains ~up_fraction:0.35 ())
+   generated mix of cable faults, switch removals and drains. The term
+   yields the loader, applied once the fabric is known. *)
+let schedule_term =
+  let load schedule_file seed events removals drains g =
+    match schedule_file with
+    | Some path -> (
+      match Fabric.Schedule.of_string (In_channel.with_open_text path In_channel.input_all) with
+      | Ok s -> Ok s
+      | Error msg -> Error (Printf.sprintf "schedule %s: %s" path msg))
+    | None ->
+      let rng = Netgraph.Rng.create seed in
+      Ok (Fabric.Schedule.generate g ~rng ~events ~switch_removals:removals ~drains ~up_fraction:0.35 ())
+  in
+  let schedule_file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "schedule" ] ~docv:"FILE"
+          ~doc:"Replay this schedule file (one \"down/up/drain/remove <id>\" per line) instead of generating one.")
+  in
+  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED") in
+  let events =
+    Arg.(value & opt int 10 & info [ "events" ] ~docv:"N" ~doc:"Generated schedule length.")
+  in
+  let removals =
+    Arg.(value & opt int 1 & info [ "switch-removals" ] ~docv:"N" ~doc:"Switch removals to schedule.")
+  in
+  let drains =
+    Arg.(value & opt int 0 & info [ "drains" ] ~docv:"N" ~doc:"Switch drains to schedule.")
+  in
+  Term.(const load $ schedule_file $ seed $ events $ removals $ drains)
 
-(* The combined stats snapshot: the manager's own registry plus the
-   process-wide one (sssp/layers/analysis/pool counters). *)
+(* The combined stats snapshot: the manager's configuration, its own
+   registry and the process-wide one (sssp/layers/analysis/pool
+   counters). *)
 let stats_json mgr =
   Obs.Json.Obj
     [
+      ("config", Dfsssp.Config.to_json (Fabric.Manager.config mgr));
       ("manager", Fabric.Metrics.to_json (Fabric.Manager.metrics mgr));
       ("process", Obs.Registry.to_json (Obs.Registry.default ()));
     ]
@@ -385,83 +408,77 @@ let write_stats_json mgr path =
     Format.printf "wrote %s@." path
   end
 
-(* Shared by manage and serve: the shortest-path kernel behind full
-   recomputes and incremental repairs (DESIGN.md §15). *)
-let kernel_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Routing.Spf.kind_of_string s) in
-  Arg.conv (parse, Routing.Spf.pp_kind)
+(* The pipeline configuration shared by manage, trace, serve and soak:
+   one flag per {!Dfsssp.Config} field an operator picks, the defaults of
+   [Dfsssp.Config.default], and [Dfsssp.Config.validate] as the one
+   judge of a bad value (the command then exits 2 with its message). *)
+let config_term =
+  let d = Dfsssp.Config.default in
+  let make algorithm max_layers layer_budget repair_fraction batch domains =
+    let layer_budget = Option.value ~default:max_layers layer_budget in
+    Dfsssp.Config.validate
+      { d with algorithm; max_layers; layer_budget; repair_fraction; batch; domains }
+  in
+  let algorithm =
+    Arg.(
+      value & opt string d.algorithm
+      & info [ "algorithm" ] ~docv:"NAME"
+          ~doc:"Routing algorithm for full recomputes; only dfsssp repairs incrementally.")
+  in
+  let max_layers =
+    Arg.(value & opt int d.max_layers & info [ "max-layers" ] ~docv:"K" ~doc:"Virtual layer budget.")
+  in
+  let layer_budget =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "layer-budget" ] ~docv:"K"
+          ~doc:"Layers the incremental path may use before falling back (default: max-layers).")
+  in
+  let repair_fraction =
+    Arg.(
+      value & opt float d.repair_fraction
+      & info [ "repair-fraction" ] ~docv:"F"
+          ~doc:"Max fraction of destinations repaired incrementally, within [0, 1]; above it, full recompute.")
+  in
+  let batch =
+    Arg.(
+      value & opt int d.batch
+      & info [ "batch" ] ~docv:"B"
+          ~doc:
+            "Destinations per weight snapshot in full recomputes (1 = the sequential recurrence). \
+             Changes the tables.")
+  in
+  let domains =
+    Arg.(
+      value & opt int d.domains
+      & info [ "domains" ] ~docv:"D"
+          ~doc:
+            "Routing domains for full recomputes (a persistent worker pool when > 1). Never \
+             changes the tables.")
+  in
+  Term.(const make $ algorithm $ max_layers $ layer_budget $ repair_fraction $ batch $ domains)
 
-let kernel_arg =
-  Arg.(
-    value
-    & opt kernel_conv Routing.Spf.Auto
-    & info [ "kernel" ] ~docv:"KERNEL"
-        ~doc:
-          "Shortest-path kernel for routing computations: auto, heap (binary-heap oracle), bucket \
-           (Dial bucket queue), or incremental (switch-tree reuse). Kernel choice never changes \
-           the tables.")
-
-let engine_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Deadlock.Layers.engine_of_string s) in
-  let pp ppf e = Format.pp_print_string ppf (Deadlock.Layers.engine_to_string e) in
-  Arg.conv (parse, pp)
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv `Scc
-    & info [ "break-engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Cycle-break engine for full recomputes: scc (SCC condensation, the default) or dfs \
-           (the one-cycle-at-a-time oracle). Layer counts stay within one layer of each other \
-           (DESIGN.md section 17).")
+(* Run [f] on a valid configuration; otherwise print why and exit 2. *)
+let with_config config f =
+  match config with
+  | Error msg ->
+    prerr_endline msg;
+    2
+  | Ok config -> f config
 
 (* manage: the live fabric manager — replay a fault schedule and report
    convergence after every event. *)
 let manage_cmd =
-  let run spec events seed schedule_file removals drains algorithm max_layers layer_budget
-      repair_fraction batch domains kernel engine print_schedule stats_out =
-    let layer_budget = Option.value ~default:max_layers layer_budget in
-    (* --batch unset: snapshot in recommended batches when the pipeline
-       is on (--domains > 1), stay on the sequential recurrence
-       otherwise. *)
-    let batch =
-      match batch with
-      | Some b -> b
-      | None -> if domains > 1 then Routing.Sssp.recommended_batch else 1
-    in
-    if max_layers < 1 || layer_budget < 1 then begin
-      prerr_endline "manage: --max-layers and --layer-budget must be at least 1";
+  let run spec load_schedule config print_schedule stats_out =
+    with_config config @@ fun config ->
+    match load_spec spec with
+    | Error msg ->
+      prerr_endline msg;
       2
-    end
-    else if repair_fraction < 0.0 || repair_fraction > 1.0 then begin
-      prerr_endline "manage: --repair-fraction must be within [0, 1]";
-      2
-    end
-    else if batch < 1 || domains < 1 then begin
-      prerr_endline "manage: --batch and --domains must be at least 1";
-      2
-    end
-    else
-      match load_spec spec with
-      | Error msg ->
-        prerr_endline msg;
-        2
-      | Ok t -> (
-        let g = t.Harness.Topospec.graph in
-        let config =
-          {
-            Fabric.Manager.algorithm;
-            max_layers;
-            layer_budget;
-            repair_fraction;
-            batch;
-            domains;
-            kernel;
-            engine;
-          }
-        in
-      match load_schedule g ~schedule_file ~seed ~events ~removals ~drains with
+    | Ok t -> (
+      let g = t.Harness.Topospec.graph in
+      match load_schedule g with
       | Error msg ->
         prerr_endline msg;
         2
@@ -475,7 +492,7 @@ let manage_cmd =
              raises — a crashed run must not leak worker domains *)
           Fun.protect ~finally:(fun () -> Fabric.Manager.shutdown mgr) @@ fun () ->
           Format.printf "%s@.%a@.initial tables: epoch %d (%s, %d max layers)@.@." t.Harness.Topospec.description
-            Netgraph.Graph.pp_stats g (Fabric.Manager.epoch mgr) algorithm max_layers;
+            Netgraph.Graph.pp_stats g (Fabric.Manager.epoch mgr) config.algorithm config.max_layers;
           if print_schedule then
             Format.printf "schedule (%d event(s)):@.%s@." (List.length schedule)
               (Fabric.Schedule.to_string schedule);
@@ -499,60 +516,6 @@ let manage_cmd =
           code))
   in
   let spec = Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC") in
-  let events =
-    Arg.(value & opt int 10 & info [ "events" ] ~docv:"N" ~doc:"Generated schedule length.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED") in
-  let schedule_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "schedule" ] ~docv:"FILE"
-          ~doc:"Replay this schedule file (one \"down/up/drain/remove <id>\" per line) instead of generating one.")
-  in
-  let removals =
-    Arg.(value & opt int 1 & info [ "switch-removals" ] ~docv:"N" ~doc:"Switch removals to schedule.")
-  in
-  let drains =
-    Arg.(value & opt int 0 & info [ "drains" ] ~docv:"N" ~doc:"Switch drains to schedule.")
-  in
-  let algorithm =
-    Arg.(
-      value & opt string "dfsssp"
-      & info [ "algorithm" ] ~docv:"NAME"
-          ~doc:"Routing algorithm for full recomputes; only dfsssp repairs incrementally.")
-  in
-  let max_layers =
-    Arg.(value & opt int 8 & info [ "max-layers" ] ~docv:"K" ~doc:"Virtual layer budget.")
-  in
-  let layer_budget =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "layer-budget" ] ~docv:"K"
-          ~doc:"Layers the incremental path may use before falling back (default: max-layers).")
-  in
-  let repair_fraction =
-    Arg.(
-      value & opt float 0.5
-      & info [ "repair-fraction" ] ~docv:"F"
-          ~doc:"Max fraction of destinations repaired incrementally; above it, full recompute.")
-  in
-  let batch =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "batch" ] ~docv:"B"
-          ~doc:
-            "Destinations per weight snapshot in full recomputes (default: the recommended batch \
-             when --domains > 1, else 1 = the sequential recurrence).")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"D"
-          ~doc:"Routing domains for full recomputes (a persistent worker pool when > 1).")
-  in
   let print_schedule =
     Arg.(value & flag & info [ "print-schedule" ] ~doc:"Echo the schedule before replaying it.")
   in
@@ -567,22 +530,21 @@ let manage_cmd =
     (Cmd.info "manage"
        ~doc:"run the live fabric manager over a fault schedule and print a convergence report")
     Term.(
-      const run $ spec $ events $ seed $ schedule_file $ removals $ drains $ algorithm $ max_layers
-      $ layer_budget $ repair_fraction $ batch $ domains $ kernel_arg $ engine_arg
-      $ print_schedule $ stats_out)
+      const run $ spec $ schedule_term $ config_term $ print_schedule $ stats_out)
 
 (* trace: the manage path again, but with observability enabled and a
    JSON-lines span sink — one compact JSON object per span, innermost
    first. Progress goes to stderr so "--out -" stays machine-readable. *)
 let trace_cmd =
-  let run spec events seed schedule_file removals drains algorithm max_layers out stats_out =
+  let run spec load_schedule config out stats_out =
+    with_config config @@ fun config ->
     match load_spec spec with
     | Error msg ->
       prerr_endline msg;
       2
     | Ok t -> (
       let g = t.Harness.Topospec.graph in
-      match load_schedule g ~schedule_file ~seed ~events ~removals ~drains with
+      match load_schedule g with
       | Error msg ->
         prerr_endline msg;
         2
@@ -605,11 +567,7 @@ let trace_cmd =
               Obs.Control.set_enabled false;
               close ())
           @@ fun () ->
-          match
-            Fabric.Manager.create
-              ~config:{ Fabric.Manager.default_config with algorithm; max_layers }
-              g
-          with
+          match Fabric.Manager.create ~config g with
           | Error msg ->
             Format.eprintf "initial routing failed: %s@." msg;
             1
@@ -626,28 +584,6 @@ let trace_cmd =
         code)
   in
   let spec = Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC") in
-  let events =
-    Arg.(value & opt int 10 & info [ "events" ] ~docv:"N" ~doc:"Generated schedule length.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED") in
-  let schedule_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "schedule" ] ~docv:"FILE" ~doc:"Replay this schedule file instead of generating one.")
-  in
-  let removals =
-    Arg.(value & opt int 1 & info [ "switch-removals" ] ~docv:"N" ~doc:"Switch removals to schedule.")
-  in
-  let drains =
-    Arg.(value & opt int 0 & info [ "drains" ] ~docv:"N" ~doc:"Switch drains to schedule.")
-  in
-  let algorithm =
-    Arg.(value & opt string "dfsssp" & info [ "algorithm" ] ~docv:"NAME" ~doc:"Routing algorithm.")
-  in
-  let max_layers =
-    Arg.(value & opt int 8 & info [ "max-layers" ] ~docv:"K" ~doc:"Virtual layer budget.")
-  in
   let out =
     Arg.(
       value & opt string "-"
@@ -664,8 +600,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"replay a fault schedule with tracing enabled, emitting JSON-lines spans")
     Term.(
-      const run $ spec $ events $ seed $ schedule_file $ removals $ drains $ algorithm $ max_layers
-      $ out $ stats_out)
+      const run $ spec $ schedule_term $ config_term $ out $ stats_out)
 
 (* Shared by serve and client: where the daemon listens. --tcp wins over
    --socket when both are given. *)
@@ -694,16 +629,10 @@ let host_arg =
    a socket, serving route queries, topology events, analyzer reports
    and observability snapshots to many concurrent clients. *)
 let serve_cmd =
-  let run spec socket tcp host replace queue_depth max_frame trace_capacity algorithm max_layers
-      layer_budget repair_fraction batch domains kernel engine =
-    let layer_budget = Option.value ~default:max_layers layer_budget in
-    let batch =
-      match batch with
-      | Some b -> b
-      | None -> if domains > 1 then Routing.Sssp.recommended_batch else 1
-    in
-    if max_layers < 1 || layer_budget < 1 || batch < 1 || domains < 1 || queue_depth < 1 then begin
-      prerr_endline "serve: --max-layers, --layer-budget, --batch, --domains and --queue-depth must be at least 1";
+  let run spec socket tcp host replace queue_depth max_frame trace_capacity config =
+    with_config config @@ fun config ->
+    if queue_depth < 1 then begin
+      prerr_endline "serve: --queue-depth must be at least 1";
       2
     end
     else
@@ -723,17 +652,7 @@ let serve_cmd =
             queue_depth;
             max_frame;
             trace_capacity;
-            manager =
-              {
-                Fabric.Manager.algorithm;
-                max_layers;
-                layer_budget;
-                repair_fraction;
-                batch;
-                domains;
-                kernel;
-                engine;
-              };
+            manager = config;
           }
         in
         match Service.Server.create ~config t.Harness.Topospec.graph with
@@ -789,38 +708,6 @@ let serve_cmd =
       & info [ "trace-capacity" ] ~docv:"N"
           ~doc:"Keep the most recent N trace spans for the trace op (0 disables).")
   in
-  let algorithm =
-    Arg.(
-      value & opt string "dfsssp"
-      & info [ "algorithm" ] ~docv:"NAME" ~doc:"Routing algorithm for full recomputes.")
-  in
-  let max_layers =
-    Arg.(value & opt int 8 & info [ "max-layers" ] ~docv:"K" ~doc:"Virtual layer budget.")
-  in
-  let layer_budget =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "layer-budget" ] ~docv:"K"
-          ~doc:"Layers the incremental path may use before falling back (default: max-layers).")
-  in
-  let repair_fraction =
-    Arg.(
-      value & opt float 0.5
-      & info [ "repair-fraction" ] ~docv:"F"
-          ~doc:"Max fraction of destinations repaired incrementally.")
-  in
-  let batch =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "batch" ] ~docv:"B" ~doc:"Destinations per weight snapshot in full recomputes.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"D" ~doc:"Routing domains for full recomputes.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -828,8 +715,7 @@ let serve_cmd =
           stats served to concurrent clients over a socket")
     Term.(
       const run $ spec $ socket_arg $ tcp_arg $ host_arg $ replace $ queue_depth $ max_frame
-      $ trace_capacity $ algorithm $ max_layers $ layer_budget $ repair_fraction $ batch $ domains
-      $ kernel_arg $ engine_arg)
+      $ trace_capacity $ config_term)
 
 (* client: one-shot requests, schedule replay and raw JSON scripting
    against a running daemon. *)
@@ -1113,19 +999,17 @@ let zoo_cmd =
     (Cmd.info "zoo"
        ~doc:
          "run the topology-zoo conformance battery: every corpus file and generator sample \
-          through the full registry, certifier, existence bounds and kernel/engine parity")
+          through the full registry, certifier and existence bounds")
     Term.(const run $ dir $ extra $ generators_only)
 
 (* soak: long-haul churn against the live manager *)
 let soak_cmd =
-  let run specs events seed removals drains max_layers artifact_dir =
+  let run specs events seed removals drains config artifact_dir =
+    with_config config @@ fun config ->
     if specs = [] then begin
       prerr_endline "soak: need at least one topology SPEC";
       exit 2
     end;
-    let config =
-      { Fabric.Manager.default_config with max_layers; layer_budget = max_layers }
-    in
     let results =
       Harness.Soak.run ~config ?switch_removals:removals ?drains ~artifact_dir ~specs ~seed
         ~events ()
@@ -1142,7 +1026,6 @@ let soak_cmd =
   let drains =
     Arg.(value & opt (some int) None & info [ "drains" ] ~docv:"N" ~doc:"Switch drains (default events/10).")
   in
-  let max_layers = Arg.(value & opt int 8 & info [ "max-layers" ] ~docv:"N") in
   let artifact_dir =
     Arg.(
       value
@@ -1154,7 +1037,7 @@ let soak_cmd =
        ~doc:
          "churn soak: drive the fabric manager through a seeded schedule of failures, recoveries, \
           drains and removals, recertifying every epoch swap; failures dump a reproduction artifact")
-    Term.(const run $ specs $ events $ seed $ removals $ drains $ max_layers $ artifact_dir)
+    Term.(const run $ specs $ events $ seed $ removals $ drains $ config_term $ artifact_dir)
 
 let () =
   let doc = "fabric generation, inspection and conversion utilities" in

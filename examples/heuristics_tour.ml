@@ -7,6 +7,9 @@
 
 open Netgraph
 
+(* a generous lane budget, so every heuristic reports its true demand *)
+let config = { Dfsssp.Config.default with max_layers = 32 }
+
 let () =
   let trials = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 10 in
   Format.printf "random fabrics: 16 switches x 16 ports, 64 nodes, 30 inter-switch cables@.@.";
@@ -17,7 +20,7 @@ let () =
       for t = 0 to trials - 1 do
         let rng = Rng.create (7000 + t) in
         let g = Topo_random.make ~switches:16 ~switch_radix:16 ~terminals:64 ~inter_links:30 ~rng in
-        match Dfsssp.route ~heuristic:h ~max_layers:32 g with
+        match Dfsssp.route ~config ~heuristic:h g with
         | Ok ft -> samples := float_of_int (Routing.Ftable.num_layers ft) :: !samples
         | Error _ -> ()
       done;
@@ -35,7 +38,7 @@ let () =
         let rng = Rng.create (7000 + t) in
         let g = Topo_random.make ~switches:16 ~switch_radix:16 ~terminals:64 ~inter_links:30 ~rng in
         let t0 = Sys.time () in
-        (match Dfsssp.route ~variant ~max_layers:32 g with
+        (match Dfsssp.route ~config ~variant g with
         | Ok ft -> samples := float_of_int (Routing.Ftable.num_layers ft) :: !samples
         | Error _ -> ());
         time := !time +. Sys.time () -. t0

@@ -14,8 +14,9 @@ let () =
   Format.printf "fabric: %a@." Graph.pp_stats fabric;
 
   (* 2. Route it. [Dfsssp.route] computes globally balanced minimal routes
-     and partitions them over virtual lanes so no buffer cycle exists. *)
-  match Dfsssp.route ~max_layers:8 fabric with
+     and partitions them over virtual lanes so no buffer cycle exists,
+     within the 8 lanes of [Dfsssp.Config.default]. *)
+  match Dfsssp.route fabric with
   | Error e ->
     prerr_endline (Dfsssp.error_to_string e);
     exit 1

@@ -2,17 +2,9 @@ let log_src = Logs.Src.create "deadlock.layers" ~doc:"offline virtual-layer assi
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type engine =
-  [ `Scc
-  | `Dfs
-  ]
+type engine = [ `Scc ]
 
-let engine_to_string = function `Scc -> "scc" | `Dfs -> "dfs"
-
-let engine_of_string = function
-  | "scc" -> Ok `Scc
-  | "dfs" -> Ok `Dfs
-  | s -> Error (Printf.sprintf "unknown break engine %S (expected \"scc\" or \"dfs\")" s)
+let engine_to_string `Scc = "scc"
 
 type outcome = {
   layer_of_path : int array;
@@ -29,9 +21,9 @@ let c_evictions =
 
 let t_assign = Obs.Registry.timer "layers.assign" ~desc:"seconds per offline layer assignment"
 
-(* Stage timers, shared by both engines so benches can diff the split:
-   condense = SCC condensation / DFS cycle search, evict = eviction
-   planning and pair relocation, rebuild = CDG construction/compaction. *)
+(* Stage timers, so benches can read the split: condense = SCC
+   condensation, evict = eviction planning and pair relocation,
+   rebuild = CDG construction/compaction. *)
 let t_condense =
   Obs.Registry.timer "layers.condense" ~desc:"seconds condensing/searching layer CDGs for cycles"
 
@@ -41,81 +33,6 @@ let t_rebuild = Obs.Registry.timer "layers.rebuild" ~desc:"seconds building/comp
 
 let budget_error vl max_layers =
   Printf.sprintf "cycle remains in layer %d and no layer is left (max %d)" vl max_layers
-
-(* ------------------------------------------------------------------ *)
-(* DFS oracle: the paper's one-cycle-at-a-time resumable search.       *)
-(* ------------------------------------------------------------------ *)
-
-let assign_store_dfs store ~max_layers ~heuristic =
-  let g = Route_store.graph store in
-  let layer_of_path = Array.make (Route_store.capacity store) (-1) in
-  Route_store.iter_pairs store (fun pr -> layer_of_path.(pr) <- 0);
-  let cycles_broken = ref 0 in
-  let cdgs = Array.make max_layers None in
-  let cdg i =
-    match cdgs.(i) with
-    | Some c -> c
-    | None ->
-      let c = Cdg.create g in
-      cdgs.(i) <- Some c;
-      c
-  in
-  cdgs.(0) <- Some (Obs.Timer.time t_rebuild (fun () -> Cdg.of_store store));
-  let error = ref None in
-  let vl = ref 0 in
-  while !error = None && !vl < max_layers && cdgs.(!vl) <> None do
-    let current = cdg !vl in
-    let span =
-      Obs.Trace.begin_span "layers.layer" ~attrs:(fun () ->
-          [ ("layer", Obs.Trace.Int !vl); ("engine", Obs.Trace.Str "dfs") ])
-    in
-    (* Layers above 0 were filled through {!Cdg.add_pair}, i.e. the
-       overlay; fold them into a CSR base so the sweep runs on array
-       scans (and {!Cycle}'s slot cursors stay valid: nothing below adds
-       to or compacts [current] while [search] is alive). *)
-    if Cdg.overlay_edges current > 0 then Obs.Timer.time t_rebuild (fun () -> Cdg.compact current);
-    let search = Cycle.create current in
-    let layer_cycles = ref 0 in
-    let layer_movers = ref 0 in
-    let sweeping = ref true in
-    while !sweeping && !error = None do
-      match Obs.Timer.time t_condense (fun () -> Cycle.find_cycle search) with
-      | None -> sweeping := false
-      | Some cycle ->
-        incr cycles_broken;
-        incr layer_cycles;
-        if !vl + 1 >= max_layers then error := Some (budget_error !vl max_layers)
-        else begin
-          Obs.Timer.time t_evict (fun () ->
-              let c1, c2 = Heuristic.choose heuristic current cycle in
-              (* membership is exact, so every inducing pair lives here;
-                 the multiset may repeat a pair, hence the dedup *)
-              let movers = List.sort_uniq compare (Cdg.edge_pairs current ~c1 ~c2) in
-              Log.debug (fun m ->
-                  m "layer %d: cycle of %d edges; evicting edge (%d,%d) with %d routes" !vl
-                    (Array.length cycle) c1 c2 (List.length movers));
-              let next = cdg (!vl + 1) in
-              layer_movers := !layer_movers + List.length movers;
-              List.iter
-                (fun pr ->
-                  Cdg.remove_pair current store ~pair:pr;
-                  Cdg.add_pair next store ~pair:pr;
-                  layer_of_path.(pr) <- !vl + 1)
-                movers);
-          Obs.Timer.time t_condense (fun () -> Cycle.notify_removed search)
-        end
-    done;
-    Obs.Counter.incr ~n:!layer_cycles c_evictions;
-    Obs.Trace.end_span span
-      ~attrs:
-        [ ("evictions", Obs.Trace.Int !layer_cycles); ("movers", Obs.Trace.Int !layer_movers) ];
-    incr vl
-  done;
-  match !error with
-  | Some msg -> Error msg
-  | None ->
-    let layers_used = 1 + Array.fold_left max 0 layer_of_path in
-    Ok { layer_of_path; layers_used; cycles_broken = !cycles_broken }
 
 (* ------------------------------------------------------------------ *)
 (* SCC engine: condense once per layer, plan evictions per component.  *)
@@ -141,9 +58,10 @@ type plan = {
    structure, and no per-pair bookkeeping for the vast majority of
    pairs that never move. Cycles never leave their SCC (edges removed
    from a digraph cannot merge SCCs), so a resumable cycle DFS confined
-   to the component — with the oracle's search order and on-cycle
-   heuristic — finds and breaks everything the oracle would, at a
-   fraction of the bookkeeping cost. The plan never consults other
+   to the component — with the search order and on-cycle heuristic of
+   the paper's one-cycle-at-a-time DFS (kept as a test oracle) — finds
+   and breaks everything that DFS would, at a fraction of the
+   bookkeeping cost. The plan never consults other
    components, so results are deterministic under any domain count. *)
 let plan_comp cdg ~store ~comp_of ~local_of ~heuristic members =
   let n = Array.length members in
@@ -406,10 +324,7 @@ let assign_store ?(engine = `Scc) ?(domains = 1) store ~max_layers ~heuristic =
         ])
   in
   let result =
-    Obs.Timer.time t_assign (fun () ->
-        match engine with
-        | `Dfs -> assign_store_dfs store ~max_layers ~heuristic
-        | `Scc -> assign_store_scc store ~max_layers ~heuristic ~domains)
+    Obs.Timer.time t_assign (fun () -> assign_store_scc store ~max_layers ~heuristic ~domains)
   in
   (match result with
   | Ok o ->
@@ -426,8 +341,8 @@ let assign_store ?(engine = `Scc) ?(domains = 1) store ~max_layers ~heuristic =
   | Error msg -> Obs.Trace.end_span span ~attrs:[ ("error", Obs.Trace.Str msg) ]);
   result
 
-let assign ?engine ?domains g ~paths ~max_layers ~heuristic =
-  assign_store ?engine ?domains (Route_store.of_paths g paths) ~max_layers ~heuristic
+let assign ?domains g ~paths ~max_layers ~heuristic =
+  assign_store ?domains (Route_store.of_paths g paths) ~max_layers ~heuristic
 
 let balance outcome ~max_layers =
   let used = outcome.layers_used in

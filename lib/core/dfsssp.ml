@@ -1,4 +1,5 @@
 include Router
+module Config = Config
 module Registry = Registry
 module Multipath = Multipath
 (* The route arena lives in lib/cdg (the CDG layers sit below routing in

@@ -10,6 +10,10 @@ include module type of struct
   include Router
 end
 
+module Config : module type of struct
+  include Config
+end
+
 module Registry : module type of Registry
 
 module Multipath : module type of Multipath

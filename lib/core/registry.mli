@@ -12,36 +12,15 @@ type algorithm = {
 (** The paper's line-up, in its Fig. 4 legend order:
     MinHop, Up*/Down*, FatTree, DOR, LASH, SSSP, DFSSSP.
     [coords] enables DOR on grid fabrics; without it DOR refuses.
-    [batch]/[domains] select the batched-snapshot pipeline (DESIGN.md
-    section 12) on the engines that support it — [batch] changes the
-    tables (defaults to the sequential recurrence), [domains] only the
-    wall-clock; LASH ignores both. [kernel] selects the shortest-path
-    core (DESIGN.md §15) on the engines that compute shortest paths
-    (MinHop, LASH, SSSP, DFSSSP and the hardened variants); it never
-    changes any table. [engine] selects the offline cycle-break engine
-    (DESIGN.md section 17) on DFSSSP and the hardened variants; it
-    changes only the wall-clock of the break stage, with layer counts
-    within +1 of the DFS oracle. *)
-val all :
-  ?coords:Coords.t ->
-  ?max_layers:int ->
-  ?engine:Layers.engine ->
-  ?batch:int ->
-  ?domains:int ->
-  ?kernel:Routing.Spf.kind ->
-  unit ->
-  algorithm list
+    [config] (default {!Config.default}) supplies [max_layers] to the
+    layered engines, [batch]/[domains] (DESIGN.md section 12) to the
+    engines with a batched-snapshot pipeline, [kernel] (DESIGN.md §15)
+    to those that compute shortest paths and [engine] (DESIGN.md
+    section 17) to DFSSSP and the hardened variants. *)
+val all : ?coords:Coords.t -> ?config:Config.t -> unit -> algorithm list
 
-(** [find ?coords name] is case-insensitive; accepts "dfsssp-online" for
-    the online variant. *)
-val find :
-  ?coords:Coords.t ->
-  ?max_layers:int ->
-  ?engine:Layers.engine ->
-  ?batch:int ->
-  ?domains:int ->
-  ?kernel:Routing.Spf.kind ->
-  string ->
-  algorithm option
+(** [find ?coords ?config name] is case-insensitive; accepts
+    "dfsssp-online" for the online variant. *)
+val find : ?coords:Coords.t -> ?config:Config.t -> string -> algorithm option
 
 val names : string list

@@ -20,15 +20,19 @@ let apply_layers ft store layer_of_path layers_used =
       Routing.Ftable.set_layer ft ~src ~dst layer_of_path.(pair));
   Routing.Ftable.set_num_layers ft layers_used
 
-let assign_layers ?(variant = Offline) ?engine ?domains ?(heuristic = Heuristic.Weakest)
-    ?(max_layers = 8) ?(balance = false) ft =
+let assign_layers ?(config = Config.default) ?(variant = Offline) ?(heuristic = Heuristic.Weakest)
+    ?(balance = false) ft =
+  let max_layers = config.Config.max_layers in
   match Routing.Ftable.to_store ft with
   | Error msg -> Error (Routing_failed msg)
   | Ok store -> (
     let assignment =
       match variant with
       | Offline -> (
-        match Layers.assign_store ?engine ?domains store ~max_layers ~heuristic with
+        match
+          Layers.assign_store ~engine:config.Config.engine ~domains:config.Config.domains store
+            ~max_layers ~heuristic
+        with
         | Error msg -> Error msg
         | Ok outcome ->
           let layer_of_path, layers_in_use =
@@ -47,7 +51,7 @@ let assign_layers ?(variant = Offline) ?engine ?domains ?(heuristic = Heuristic.
       apply_layers ft store layer_of_path layers_used;
       Ok ft)
 
-let route ?variant ?engine ?heuristic ?max_layers ?balance ?batch ?domains ?pool ?kernel g =
+let route ?(config = Config.default) ?variant ?heuristic ?balance ?pool g =
   let span =
     Obs.Trace.begin_span "dfsssp.route" ~attrs:(fun () ->
         [
@@ -58,10 +62,13 @@ let route ?variant ?engine ?heuristic ?max_layers ?balance ?batch ?domains ?pool
         ])
   in
   let result =
-    match Routing.Sssp.route ?batch ?domains ?pool ?kernel g with
+    match
+      Routing.Sssp.route ~batch:config.Config.batch ~domains:config.Config.domains ?pool
+        ~kernel:config.Config.kernel g
+    with
     | Error msg -> Error (Routing_failed msg)
     | Ok ft -> (
-      match assign_layers ?variant ?engine ?domains ?heuristic ?max_layers ?balance ft with
+      match assign_layers ~config ?variant ?heuristic ?balance ft with
       | Ok ft as ok ->
         Log.info (fun m ->
             m "routed %d terminals over %d channels: %d virtual layer(s)"
@@ -80,12 +87,12 @@ let route ?variant ?engine ?heuristic ?max_layers ?balance ?batch ?domains ?pool
   | Error e -> Obs.Trace.end_span span ~attrs:[ ("error", Obs.Trace.Str (error_to_string e)) ]);
   result
 
-let layers_required ?variant ?engine ?heuristic ?max_layers ?batch ?domains ?kernel g =
-  match route ?variant ?engine ?heuristic ?max_layers ?batch ?domains ?kernel g with
+let layers_required ?config ?variant ?heuristic g =
+  match route ?config ?variant ?heuristic g with
   | Error e -> Error e
   | Ok ft -> Ok (Routing.Ftable.num_layers ft)
 
-let route_min_layers ?engine ?(max_layers = 8) ?batch ?(domains = 1) ?kernel g =
+let route_min_layers ?(config = Config.default) g =
   (* Try every cycle-breaking heuristic and keep the assignment with the
      fewest layers — cheap insurance against the APP heuristic gap the
      paper leaves open (Section IV). With [domains > 1] the heuristics
@@ -96,11 +103,10 @@ let route_min_layers ?engine ?(max_layers = 8) ?batch ?(domains = 1) ?kernel g =
   let heuristics = Array.of_list Heuristic.all in
   let nh = Array.length heuristics in
   let results = Array.make nh (Error (Routing_failed "not attempted")) in
-  let run _scratch i =
-    results.(i) <- route ?engine ~heuristic:heuristics.(i) ~max_layers ?batch ?kernel g
-  in
-  if domains > 1 && nh > 1 then
-    Parallel.Pool.with_pool ~domains
+  let inner = { config with Config.domains = 1 } in
+  let run _scratch i = results.(i) <- route ~config:inner ~heuristic:heuristics.(i) g in
+  if config.Config.domains > 1 && nh > 1 then
+    Parallel.Pool.with_pool ~domains:config.Config.domains
       (fun _slot -> ())
       (fun pool -> Parallel.Pool.run pool ~n:nh ~grain:1 run)
   else

@@ -23,87 +23,63 @@ type error =
 
 val error_to_string : error -> string
 
-(** [route ?variant ?heuristic ?max_layers ?balance g] routes the fabric
+(** [route ?config ?variant ?heuristic ?balance g] routes the fabric
     deadlock-free.
 
+    - [config] (default {!Config.default}) supplies the pipeline
+      settings: [max_layers] bounds the layers (the paper's failed bars
+      are [Layers_exhausted]), [batch]/[domains] select
+      {!Routing.Sssp}'s batched-snapshot pipeline for the SSSP stage
+      (DESIGN.md section 12; [domains] also fans the [`Scc] break
+      planning out across components), [kernel] the shortest-path core
+      (DESIGN.md §15) and [engine] the offline cycle-break engine
+      (DESIGN.md section 17). Only [batch] and [max_layers] can change
+      the tables.
     - [variant] (default [Offline]) selects the layer-assignment engine.
-    - [engine] (default [`Scc]) selects the offline cycle-break engine
-      ({!Layers.engine}; DESIGN.md section 17). Ignored by [Online].
     - [heuristic] (default {!Cdg.Heuristic.Weakest}) picks the cycle edge
       to evict (offline variant only).
-    - [max_layers] (default 8, the virtual lanes current InfiniBand
-      hardware offers) bounds the layers; the paper's failed bars are
-      [Layers_exhausted].
     - [balance] (default [false]) additionally spreads routes over the
       unused layers afterwards (the tail of Algorithm 2). The reported
       {!Routing.Ftable.num_layers} remains the number {e required}.
-    - [batch]/[domains]/[pool] select {!Routing.Sssp}'s batched-snapshot
-      pipeline for the SSSP stage (defaults reproduce the sequential
-      recurrence; see DESIGN.md section 12). [domains] also fans the
-      [`Scc] break planning out across components.
-    - [kernel] selects the shortest-path core of the SSSP stage
-      (default {!Routing.Spf.Auto}; DESIGN.md §15). Never changes the
-      tables.
+    - [pool] lends the SSSP stage a persistent worker pool.
 
     The result carries per-route layers; every successful result carries
     a deadlock-freedom certificate ({!Analysis.Analyzer.certify}). *)
 val route :
+  ?config:Config.t ->
   ?variant:variant ->
-  ?engine:Layers.engine ->
   ?heuristic:Heuristic.t ->
-  ?max_layers:int ->
   ?balance:bool ->
-  ?batch:int ->
-  ?domains:int ->
   ?pool:Routing.Sssp.pool ->
-  ?kernel:Routing.Spf.kind ->
   Graph.t ->
   (Ftable.t, error) result
 
-(** [layers_required ?variant ?heuristic ?max_layers g] is the virtual
-    layer count alone (the quantity of the paper's Figs. 9/10). *)
+(** [layers_required ?config ?variant ?heuristic g] is the virtual layer
+    count alone (the quantity of the paper's Figs. 9/10). *)
 val layers_required :
-  ?variant:variant ->
-  ?engine:Layers.engine ->
-  ?heuristic:Heuristic.t ->
-  ?max_layers:int ->
-  ?batch:int ->
-  ?domains:int ->
-  ?kernel:Routing.Spf.kind ->
-  Graph.t ->
-  (int, error) result
+  ?config:Config.t -> ?variant:variant -> ?heuristic:Heuristic.t -> Graph.t -> (int, error) result
 
-(** [assign_layers ?variant ?heuristic ?max_layers ?balance ft] applies the
+(** [assign_layers ?config ?variant ?heuristic ?balance ft] applies the
     cycle-breaking layer assignment to an {e existing} routing — any
     oblivious routing (DOR on a torus, MinHop on an irregular fabric)
     becomes deadlock-free this way, not only SSSP; the APP machinery is
     routing-agnostic. Overwrites [ft]'s layer table in place and returns
-    it. [engine]/[domains] select and parallelise the offline break
-    engine as in {!route}. *)
+    it. Reads [max_layers], [engine] and [domains] from [config] as
+    {!route} does. *)
 val assign_layers :
+  ?config:Config.t ->
   ?variant:variant ->
-  ?engine:Layers.engine ->
-  ?domains:int ->
   ?heuristic:Heuristic.t ->
-  ?max_layers:int ->
   ?balance:bool ->
   Ftable.t ->
   (Ftable.t, error) result
 
-(** [route_min_layers ?max_layers g] runs the offline assignment under
-    every heuristic and keeps the result using the fewest virtual layers
-    (APP is NP-complete, so no single heuristic dominates — paper
-    Section IV). Returns the winning table and its heuristic.
+(** [route_min_layers ?config g] runs the offline assignment under every
+    heuristic and keeps the result using the fewest virtual layers (APP
+    is NP-complete, so no single heuristic dominates — paper Section
+    IV). Returns the winning table and its heuristic.
 
-    [domains > 1] runs the heuristics concurrently (each inner route
-    stays single-domain); the winner — by (layers, heuristic order) — is
-    identical to the sequential scan's. [batch] is forwarded to the SSSP
-    stage and, unlike [domains], changes the routes themselves. *)
-val route_min_layers :
-  ?engine:Layers.engine ->
-  ?max_layers:int ->
-  ?batch:int ->
-  ?domains:int ->
-  ?kernel:Routing.Spf.kind ->
-  Graph.t ->
-  (Ftable.t * Heuristic.t, error) result
+    [config.domains > 1] runs the heuristics concurrently (each inner
+    route stays single-domain); the winner — by (layers, heuristic
+    order) — is identical to the sequential scan's. *)
+val route_min_layers : ?config:Config.t -> Graph.t -> (Ftable.t * Heuristic.t, error) result

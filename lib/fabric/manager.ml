@@ -2,7 +2,7 @@ let log_src = Logs.Src.create "fabric.manager" ~doc:"event-driven fabric manager
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type config = {
+type config = Dfsssp.Config.t = {
   algorithm : string;
   max_layers : int;
   layer_budget : int;
@@ -13,17 +13,7 @@ type config = {
   engine : Layers.engine;
 }
 
-let default_config =
-  {
-    algorithm = "dfsssp";
-    max_layers = 8;
-    layer_budget = 8;
-    repair_fraction = 0.5;
-    batch = 1;
-    domains = 1;
-    kernel = Spf.Auto;
-    engine = `Scc;
-  }
+let default_config = Dfsssp.Config.default
 
 type action =
   | Incremental of {
@@ -91,20 +81,10 @@ let full_route t =
         ~weights:t.weights
     with
     | Error msg -> Error msg
-    | Ok ft -> (
-      match
-        Dfsssp.assign_layers ~engine:t.config.engine ~domains:t.config.domains
-          ~max_layers:t.config.max_layers ft
-      with
-      | Ok ft -> Ok ft
-      | Error e -> Error (Dfsssp.error_to_string e))
+    | Ok ft -> Result.map_error Dfsssp.error_to_string (Dfsssp.assign_layers ~config:t.config ft)
   end
   else
-    match
-      Dfsssp.Registry.find ~max_layers:t.config.max_layers ~engine:t.config.engine
-        ~batch:t.config.batch ~domains:t.config.domains ~kernel:t.config.kernel
-        t.config.algorithm
-    with
+    match Dfsssp.Registry.find ~config:t.config t.config.algorithm with
     | None -> Error (Printf.sprintf "unknown algorithm %S" t.config.algorithm)
     | Some a -> a.Dfsssp.Registry.run g
 
@@ -125,10 +105,7 @@ let shutdown t =
 let snapshot t = Epoch.snapshot t.epochs
 
 let create ?(config = default_config) g =
-  if config.max_layers < 1 then invalid_arg "Manager.create: max_layers < 1";
-  if config.layer_budget < 1 then invalid_arg "Manager.create: layer_budget < 1";
-  if config.batch < 1 then invalid_arg "Manager.create: batch < 1";
-  if config.domains < 1 then invalid_arg "Manager.create: domains < 1";
+  Result.iter_error invalid_arg (Dfsssp.Config.validate config);
   if Graph.num_terminals g < 2 then Error "Manager.create: fabric has fewer than two terminals"
   else begin
     let t =
@@ -240,14 +217,12 @@ let incremental_swap t ~event ~t0 ~old_ft ~affected =
       ~fallback:false ~diff_against:(Some old_ft)
   else begin
     let tr0 = Unix.gettimeofday () in
-    let layer_budget = min t.config.layer_budget t.config.max_layers in
     let patched =
       Obs.Trace.with_span "fabric.repair"
         ~attrs:(fun () ->
           [("destinations", Obs.Trace.Int (List.length affected)); ("total", Obs.Trace.Int total)])
         (fun () ->
-          Repair.patch ~kernel:t.config.kernel ~graph:g ~old:old_ft ~dsts:affected
-            ~weights:t.weights ~layer_budget ())
+          Repair.patch ~config:t.config ~graph:g ~old:old_ft ~dsts:affected ~weights:t.weights ())
     in
     match patched with
     | Error msg ->

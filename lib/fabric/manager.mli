@@ -9,42 +9,23 @@
     its budgets or its candidate fails the swap gate. Tables advance by
     certified epoch swaps ({!Epoch}); {!Metrics} counts everything. *)
 
-type config = {
+(** The pipeline configuration ({!Dfsssp.Config}): full recomputes read
+    [algorithm], [max_layers], [batch], [domains], [kernel] and
+    [engine]; incremental repairs read [kernel], [layer_budget] and
+    [repair_fraction]. With [domains > 1] the manager holds a persistent
+    worker pool for its whole lifetime (release with {!release}). *)
+type config = Dfsssp.Config.t = {
   algorithm : string;
-      (** registry name used for full recomputes (default ["dfsssp"]);
-          only ["dfsssp"] has an incremental path — anything else makes
-          every event a full recompute *)
-  max_layers : int;  (** hard virtual-layer budget (hardware VLs) *)
+  max_layers : int;
   layer_budget : int;
-      (** layers the incremental path may use before falling back to a
-          full recompute (clamped to [max_layers]) *)
   repair_fraction : float;
-      (** incremental repair only when at most this fraction of
-          destinations is affected; above it, recompute everything *)
   batch : int;
-      (** destinations per weight snapshot in full recomputes (the
-          batched-snapshot pipeline, DESIGN.md section 12); 1 = the
-          sequential recurrence. Changes the tables a full recompute
-          produces (still minimal, still balanced) *)
   domains : int;
-      (** routing domains for full recomputes; with [> 1] the manager
-          holds a persistent worker pool for its whole lifetime (release
-          with {!release}). Never changes the tables, only the
-          wall-clock *)
   kernel : Spf.kind;
-      (** shortest-path kernel for full recomputes and incremental
-          repairs (DESIGN.md §15). Never changes the tables, only the
-          wall-clock *)
   engine : Layers.engine;
-      (** offline cycle-break engine for full recomputes (DESIGN.md
-          section 17; default [`Scc]). [domains] also fans its
-          per-component planning out. Layer counts stay within +1 of
-          the [`Dfs] oracle *)
 }
 
-(** [{ algorithm = "dfsssp"; max_layers = 8; layer_budget = 8;
-    repair_fraction = 0.5; batch = 1; domains = 1; kernel = Spf.Auto;
-    engine = `Scc }] *)
+(** {!Dfsssp.Config.default}. *)
 val default_config : config
 
 type action =
@@ -77,7 +58,8 @@ type t
 (** [create g] routes the initial fabric and installs epoch 1. [Error] if
     the fabric cannot be routed deadlock-free within [max_layers], or has
     fewer than two terminals.
-    @raise Invalid_argument on a non-positive layer budget. *)
+    @raise Invalid_argument with {!Dfsssp.Config.validate}'s message when
+    [config] is invalid. *)
 val create : ?config:config -> Graph.t -> (t, string) result
 
 val config : t -> config

@@ -64,7 +64,8 @@ let creates_cycle cdg fresh stamp stamps =
   in
   probe fresh
 
-let patch ?kernel ~graph ~old ~dsts ~weights ~layer_budget () =
+let patch ?(config = Dfsssp.Config.default) ~graph ~old ~dsts ~weights () =
+  let layer_budget = min config.Dfsssp.Config.layer_budget config.Dfsssp.Config.max_layers in
   if layer_budget < 1 then invalid_arg "Repair.patch: layer_budget < 1";
   let terminals = Graph.terminals graph in
   let n = Graph.num_nodes graph in
@@ -89,7 +90,7 @@ let patch ?kernel ~graph ~old ~dsts ~weights ~layer_budget () =
       terminals;
     (* Repaired destinations: one SSSP step each, over the surviving
        weight state (later repairs keep avoiding earlier load). *)
-    let ws = Spf.workspace ?kernel graph in
+    let ws = Spf.workspace ~kernel:config.Dfsssp.Config.kernel graph in
     let route_result = ref (Ok ()) in
     List.iter
       (fun dst ->

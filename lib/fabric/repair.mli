@@ -32,24 +32,24 @@ type patched = {
   layers_used : int;
 }
 
-(** [patch ~graph ~old ~dsts ~weights ~layer_budget] builds a fresh table
+(** [patch ?config ~graph ~old ~dsts ~weights ()] builds a fresh table
     on [graph] (which must share node/channel ids with [old]'s fabric):
     forwarding trees and layers of destinations outside [dsts] are copied
     verbatim; each destination in [dsts] is re-routed with one
     {!Sssp.route_destination} step over the shared [weights] state
     (mutated in place) and its routes re-placed into the lowest acyclic
-    layer. Fails — leaving the caller to fall back to a full recompute —
-    if a placement needs more than [layer_budget] layers, or the existing
-    assignment already exceeds the budget. [kernel] selects the
-    shortest-path core of the repair steps (default {!Spf.Auto};
-    DESIGN.md §15) and never changes the resulting table.
-    @raise Invalid_argument if [layer_budget < 1]. *)
+    layer. The layer budget is [config]'s [layer_budget] clamped to its
+    [max_layers] (default {!Dfsssp.Config.default}). Fails — leaving the
+    caller to fall back to a full recompute — if a placement needs more
+    layers than the budget, or the existing assignment already exceeds
+    it. [config]'s [kernel] selects the shortest-path core of the repair
+    steps (DESIGN.md §15) and never changes the resulting table.
+    @raise Invalid_argument if the layer budget is below 1. *)
 val patch :
-  ?kernel:Spf.kind ->
+  ?config:Dfsssp.Config.t ->
   graph:Graph.t ->
   old:Ftable.t ->
   dsts:int list ->
   weights:int array ->
-  layer_budget:int ->
   unit ->
   (patched, string) result

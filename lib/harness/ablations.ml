@@ -43,13 +43,13 @@ let ebb_of ft ~patterns ~seed =
   (Simulator.Congestion.effective_bisection_bandwidth ~patterns ~rng ft).Simulator.Congestion.samples
     .Simulator.Metrics.mean
 
-let hardened_routings ?(patterns = 30) ?(seed = 21) ?batch ?domains () =
+let hardened_routings ?(patterns = 30) ?(seed = 21) () =
   let g, coords = Topo_torus.torus ~dims:[| 6; 6 |] ~terminals_per_switch:1 in
   let lb = Analysis.Existence.min_layers_lb g in
   let rows =
     List.filter_map
       (fun name ->
-        match Runs.run_named ~coords ~max_layers:8 ?batch ?domains name g with
+        match Runs.run_named ~coords name g with
         | Error _ -> None
         | Ok ft ->
           Some
@@ -74,7 +74,7 @@ let hardened_routings ?(patterns = 30) ?(seed = 21) ?batch ?domains () =
       ];
   }
 
-let dragonfly ?(patterns = 30) ?(seed = 22) ?batch ?domains () =
+let dragonfly ?(patterns = 30) ?(seed = 22) () =
   let g = Topo_dragonfly.make ~a:4 ~p:2 ~h:2 () in
   let lb = Analysis.Existence.min_layers_lb g in
   let missing_row name =
@@ -86,7 +86,7 @@ let dragonfly ?(patterns = 30) ?(seed = 22) ?batch ?domains () =
   let rows =
     List.map
       (fun name ->
-        match Runs.run_named ~max_layers:8 ?batch ?domains name g with
+        match Runs.run_named name g with
         | Error _ -> missing_row name
         | Ok ft -> (
           match Ftable.validate ft with
@@ -114,7 +114,8 @@ let dragonfly ?(patterns = 30) ?(seed = 22) ?batch ?domains () =
       ];
   }
 
-let random_graphs ?(max_layers = 8) () =
+let random_graphs () =
+  let budget = Dfsssp.Config.default.max_layers in
   let rows =
     List.filter_map
       (fun spec ->
@@ -129,12 +130,12 @@ let random_graphs ?(max_layers = 8) () =
               Report.Int (Graph.num_switches g);
               Report.Int (Graph.num_terminals g);
               Report.Str
-                (if Analysis.Existence.feasible existence ~budget:max_layers then "yes" else "NO");
+                (if Analysis.Existence.feasible existence ~budget then "yes" else "NO");
               Report.Int existence.Analysis.Existence.min_layers_lb;
-              Runs.vl_cell ~max_layers "updown" g;
-              Runs.vl_cell ~max_layers "lash" g;
-              Runs.vl_cell ~max_layers "dfsssp" g;
-              Runs.analyzer_run_cell ~max_layers "dfsssp" g;
+              Runs.vl_cell "updown" g;
+              Runs.vl_cell "lash" g;
+              Runs.vl_cell "dfsssp" g;
+              Runs.analyzer_run_cell "dfsssp" g;
             ])
       Zoo.generator_specs
   in
@@ -169,7 +170,7 @@ let balancing ?(seed = 23) () =
   let rows =
     List.filter_map
       (fun (label, balance) ->
-        match Dfsssp.route ~max_layers:8 ~balance g with
+        match Dfsssp.route ~balance g with
         | Error _ -> None
         | Ok ft -> (
           let config = { Simulator.Flitsim.default_config with num_vls = 8; buffer_slots = 1 } in
@@ -184,44 +185,6 @@ let balancing ?(seed = 23) () =
     columns = [ "assignment"; "lanes used"; "drain cycles"; "packets" ];
     rows;
     notes = [ "more lanes = more buffer slots per physical link = fewer stalls" ];
-  }
-
-let online_engines ?(max_endpoints = 512) () =
-  let rows =
-    List.map
-      (fun (r : Tableone.row) ->
-        let g = Tableone.tree_graph r in
-        match Routing.Sssp.route g with
-        | Error _ -> [ Report.Int r.Tableone.endpoints ]
-        | Ok ft -> (
-          match Ftable.to_store ft with
-          | Error _ -> [ Report.Int r.Tableone.endpoints ]
-          | Ok store ->
-          let time f =
-            let dt, outcome = Runs.timed f in
-            match outcome with
-            | Ok _ -> Report.Time dt
-            | Error _ -> Report.Missing
-          in
-          let online engine () = Online.assign_store ~engine store ~max_layers:16 in
-          let offline engine () =
-            Layers.assign_store ~engine store ~max_layers:16 ~heuristic:Heuristic.Weakest
-          in
-          [
-            Report.Int r.Tableone.endpoints;
-            time (online `Dfs);
-            time (online `Pk);
-            time (offline `Dfs);
-            time (offline `Scc);
-          ]))
-      (Tableone.rows_up_to max_endpoints)
-  in
-  {
-    Report.title = "Ablation: online cycle-check engines vs offline sweep (k-ary n-tree, SSSP paths)";
-    columns =
-      [ "#endpoints"; "online DFS"; "online Pearce-Kelly"; "offline DFS"; "offline SCC" ];
-    rows;
-    notes = [ "assignment time only (routes precomputed); all four are deadlock-free" ];
   }
 
 let adversarial_patterns () =
@@ -313,12 +276,12 @@ let multipath ?(matchings = 20) ?(seed = 29) () =
       ];
   }
 
-let routing_quality ?(scale = 8) ?batch ?domains () =
+let routing_quality ?(scale = 8) () =
   let g = (Clusters.deimos ~scale ()).Clusters.graph in
   let rows =
     List.filter_map
       (fun name ->
-        match Runs.run_named ?batch ?domains name g with
+        match Runs.run_named name g with
         | Error _ ->
           Some
             [
@@ -363,7 +326,7 @@ let vl_budget ?(budgets = [ 1; 2; 3; 4; 6; 8 ]) () =
   let rows =
     List.map
       (fun budget ->
-        match Dfsssp.route ~max_layers:budget ~balance:true g with
+        match Dfsssp.route ~config:{ Dfsssp.Config.default with max_layers = budget } ~balance:true g with
         | Error _ -> [ Report.Int budget; Report.Str "failed"; Report.Missing; Report.Missing ]
         | Ok ft -> (
           let config =

@@ -14,30 +14,21 @@
 (** Fig. 1 ablation: routes under initial weight 1 vs [|V|^2]. *)
 val sssp_initial_weight : unit -> Report.table
 
-(** DOR and MinHop, raw vs hardened, on a wrap-around torus.
-    [batch]/[domains] run the table fills on the batched-snapshot
-    pipeline ({!Runs.run_named}). *)
-val hardened_routings : ?patterns:int -> ?seed:int -> ?batch:int -> ?domains:int -> unit -> Report.table
+(** DOR and MinHop, raw vs hardened, on a wrap-around torus. *)
+val hardened_routings : ?patterns:int -> ?seed:int -> unit -> Report.table
 
-(** The full algorithm line-up on a dragonfly. [batch]/[domains] as in
-    {!hardened_routings}. *)
-val dragonfly : ?patterns:int -> ?seed:int -> ?batch:int -> ?domains:int -> unit -> Report.table
+(** The full algorithm line-up on a dragonfly. *)
+val dragonfly : ?patterns:int -> ?seed:int -> unit -> Report.table
 
 (** The expander-family random graphs of the zoo battery
     ({!Zoo.generator_specs}: two jellyfish and two xpander samples):
     existence feasibility, the provable VL lower bound, and the layer
-    counts the deadlock-free algorithms actually pay on each. *)
-val random_graphs : ?max_layers:int -> unit -> Report.table
+    counts the deadlock-free algorithms actually pay on each, under
+    {!Dfsssp.Config.default}. *)
+val random_graphs : unit -> Report.table
 
 (** Packet-simulator throughput with and without layer balancing. *)
 val balancing : ?seed:int -> unit -> Report.table
-
-(** Online-assignment engines (naive DFS probe vs Pearce-Kelly dynamic
-    topological ordering) vs the paper's offline algorithm: wall-clock
-    over a k-ary n-tree sweep. All three produce deadlock-free
-    assignments; the offline sweep is the paper's answer to the online
-    cost, PK is ours. *)
-val online_engines : ?max_endpoints:int -> unit -> Report.table
 
 (** Classic adversarial permutations (bit complement/reverse, transpose,
     tornado) on a torus and a fat tree: mean bandwidth share per routing.
@@ -55,9 +46,8 @@ val multipath : ?matchings:int -> ?seed:int -> unit -> Report.table
 (** All-pairs routing quality (path lengths, load balance) per algorithm
     on the Deimos stand-in: the two quantities the paper trades —
     Up*/Down* sacrifices length and balance at the root, LASH sacrifices
-    balance, SSSP/DFSSSP keep both. [batch]/[domains] as in
-    {!hardened_routings}. *)
-val routing_quality : ?scale:int -> ?batch:int -> ?domains:int -> unit -> Report.table
+    balance, SSSP/DFSSSP keep both. *)
+val routing_quality : ?scale:int -> unit -> Report.table
 
 (** Virtual-lane budget sweep on a wrap-around torus: DFSSSP fails below
     its requirement, succeeds at it, and converts any surplus into extra

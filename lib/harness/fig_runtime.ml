@@ -2,45 +2,38 @@ let algorithms = [ "minhop"; "updown"; "lash"; "sssp"; "dfsssp"; "dfsssp-online"
 
 let note = "wall-clock; includes virtual-layer assignment where the algorithm has one"
 
-let pipeline_note = function
-  | None -> []
-  | Some domains ->
-    [ Printf.sprintf "batched-snapshot pipeline: %d domain(s), batch %d" domains Routing.Sssp.recommended_batch ]
+let pipeline_note (c : Dfsssp.Config.t) =
+  if c.batch = 1 && c.domains = 1 then []
+  else [ Printf.sprintf "batched-snapshot pipeline: %d domain(s), batch %d" c.domains c.batch ]
 
-(* With [domains] set, the supporting engines run the batched-snapshot
-   pipeline ({!Routing.Sssp.recommended_batch} destinations per
-   snapshot) — the figure then reports the parallel pipeline's runtime
-   instead of the sequential recurrence's. *)
-let cells ?domains g =
-  let batch = Option.map (fun _ -> Routing.Sssp.recommended_batch) domains in
-  List.map (fun alg -> Runs.runtime_cell ?batch ?domains alg g) algorithms
+let cells ~config g = List.map (fun alg -> Runs.runtime_cell ~config alg g) algorithms
 
-let fig7 ?(max_endpoints = 1024) ?domains () =
+let fig7 ?(max_endpoints = 1024) ?(config = Dfsssp.Config.default) () =
   let rows =
     List.map
       (fun (r : Tableone.row) ->
         let g = Tableone.tree_graph r in
-        Report.Int r.Tableone.endpoints :: cells ?domains g)
+        Report.Int r.Tableone.endpoints :: cells ~config g)
       (Tableone.rows_up_to max_endpoints)
   in
   {
     Report.title = "Fig. 7: routing runtime, k-ary n-tree";
     columns = "#endpoints" :: algorithms;
     rows;
-    notes = note :: pipeline_note domains;
+    notes = note :: pipeline_note config;
   }
 
-let fig8 ?(scale = 4) ?domains () =
+let fig8 ?(scale = 4) ?(config = Dfsssp.Config.default) () =
   let rows =
     List.map
       (fun (s : Clusters.system) ->
         Report.Str (Printf.sprintf "%s(%d)" s.name (Graph.num_terminals s.graph))
-        :: cells ?domains s.graph)
+        :: cells ~config s.graph)
       (Clusters.all ~scale ())
   in
   {
     Report.title = Printf.sprintf "Fig. 8: routing runtime, real systems (scale 1/%d)" scale;
     columns = "fabric" :: algorithms;
     rows;
-    notes = note :: pipeline_note domains;
+    notes = note :: pipeline_note config;
   }

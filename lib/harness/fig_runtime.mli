@@ -3,11 +3,11 @@
     routing (tables plus, where applicable, the virtual-layer
     assignment).
 
-    [domains] times the batched-snapshot pipeline
-    ({!Routing.Sssp.recommended_batch} destinations per snapshot) on that
-    many domains instead of the sequential recurrence; omitted, the
-    figures measure the sequential baseline as before. *)
+    [config] (default {!Dfsssp.Config.default}, the sequential
+    recurrence) is the pipeline every algorithm runs under; with
+    [batch > 1] the supporting engines snapshot weights per batch and
+    spread each batch over [domains], and a note records the setting. *)
 
-val fig7 : ?max_endpoints:int -> ?domains:int -> unit -> Report.table
+val fig7 : ?max_endpoints:int -> ?config:Dfsssp.Config.t -> unit -> Report.table
 
-val fig8 : ?scale:int -> ?domains:int -> unit -> Report.table
+val fig8 : ?scale:int -> ?config:Dfsssp.Config.t -> unit -> Report.table

@@ -1,10 +1,10 @@
 (* Virtual-layer requirements are measured with a deliberately high layer
    budget so the experiments report the true demand rather than a
    failure. *)
-let budget = 64
+let config = { Dfsssp.Config.default with max_layers = 64 }
 
 let vl_of name g =
-  match Runs.run_named ~max_layers:budget name g with
+  match Runs.run_named ~config name g with
   | Error _ -> None
   | Ok ft -> Some (Ftable.num_layers ft)
 
@@ -92,7 +92,7 @@ let heuristics ?(switches = 24) ?(switch_radix = 24) ?(terminals_per_switch = 12
         for t = 0 to trials - 1 do
           let rng = Rng.create ((seed * 7919) + t) in
           let g = Topo_random.make ~switches ~switch_radix ~terminals ~inter_links ~rng in
-          match Dfsssp.route ~heuristic:h ~max_layers:budget g with
+          match Dfsssp.route ~config ~heuristic:h g with
           | Ok ft -> samples := Ftable.num_layers ft :: !samples
           | Error _ -> ()
         done;

@@ -1,7 +1,7 @@
 let paper_algorithms = [ "minhop"; "updown"; "ftree"; "dor"; "lash"; "sssp"; "dfsssp" ]
 
-let run_named ?coords ?max_layers ?engine ?batch ?domains ?kernel name g =
-  match Dfsssp.Registry.find ?coords ?max_layers ?engine ?batch ?domains ?kernel name with
+let run_named ?coords ?config name g =
+  match Dfsssp.Registry.find ?coords ?config name with
   | None -> Error (Printf.sprintf "unknown algorithm %S" name)
   | Some alg -> alg.Dfsssp.Registry.run g
 
@@ -18,8 +18,8 @@ let ebb_cell ?coords ?ranks ~patterns ~seed name g =
     let ebb = Simulator.Congestion.effective_bisection_bandwidth ~patterns ?ranks ~rng ft in
     Report.Flt ebb.Simulator.Congestion.samples.Simulator.Metrics.mean
 
-let vl_cell ?coords ?max_layers name g =
-  match run_named ?coords ?max_layers name g with
+let vl_cell ?coords name g =
+  match run_named ?coords name g with
   | Error _ -> Report.Missing
   | Ok ft -> Report.Int (Ftable.num_layers ft)
 
@@ -30,13 +30,13 @@ let analyzer_cell ft =
     let errs = Analysis.Diag.num_errors r.Analysis.Analyzer.findings in
     Report.Str (Printf.sprintf "REJECTED (%d error(s))" errs)
 
-let analyzer_run_cell ?coords ?max_layers name g =
-  match run_named ?coords ?max_layers name g with
+let analyzer_run_cell ?coords name g =
+  match run_named ?coords name g with
   | Error _ -> Report.Missing
   | Ok ft -> analyzer_cell ft
 
-let runtime_cell ?coords ?batch ?domains name g =
-  match timed (fun () -> run_named ?coords ?batch ?domains name g) with
+let runtime_cell ?coords ?config name g =
+  match timed (fun () -> run_named ?coords ?config name g) with
   | _, Error _ -> Report.Missing
   | dt, Ok _ -> Report.Time dt
 

@@ -5,21 +5,12 @@
 (** The paper's Fig. 4 algorithm line-up (names for {!Dfsssp.Registry}). *)
 val paper_algorithms : string list
 
-(** [run_named ?coords ?max_layers name g] routes [g], or explains why the
-    algorithm refused. [batch]/[domains] select the batched-snapshot
-    pipeline, [kernel] the shortest-path core and [engine] the offline
-    cycle-break engine on supporting algorithms (see
+(** [run_named ?coords ?config name g] routes [g], or explains why the
+    algorithm refused. [config] (default {!Dfsssp.Config.default}) is
+    the pipeline configuration the algorithm runs under (see
     {!Dfsssp.Registry.all}). *)
 val run_named :
-  ?coords:Coords.t ->
-  ?max_layers:int ->
-  ?engine:Layers.engine ->
-  ?batch:int ->
-  ?domains:int ->
-  ?kernel:Routing.Spf.kind ->
-  string ->
-  Graph.t ->
-  (Ftable.t, string) result
+  ?coords:Coords.t -> ?config:Dfsssp.Config.t -> string -> Graph.t -> (Ftable.t, string) result
 
 (** [timed f] is [(wall-clock seconds, f ())]. *)
 val timed : (unit -> 'a) -> float * 'a
@@ -30,7 +21,7 @@ val ebb_cell : ?coords:Coords.t -> ?ranks:int array -> patterns:int -> seed:int 
 
 (** [vl_cell name g] is the number of virtual layers the algorithm needs
     on [g] ([Missing] on refusal). *)
-val vl_cell : ?coords:Coords.t -> ?max_layers:int -> string -> Graph.t -> Report.cell
+val vl_cell : ?coords:Coords.t -> string -> Graph.t -> Report.cell
 
 (** [analyzer_cell ft] is the static analyzer's verdict on [ft] as a table
     cell: ["certified"] when the certificate checker accepts and lint
@@ -39,12 +30,12 @@ val analyzer_cell : Ftable.t -> Report.cell
 
 (** [analyzer_run_cell name g] routes [g] with [name] and analyzes the
     result ([Missing] on refusal). *)
-val analyzer_run_cell : ?coords:Coords.t -> ?max_layers:int -> string -> Graph.t -> Report.cell
+val analyzer_run_cell : ?coords:Coords.t -> string -> Graph.t -> Report.cell
 
 (** [runtime_cell name g] is the routing wall-clock time ([Missing] on
-    refusal). [batch]/[domains] as in {!run_named} — the pipeline whose
-    runtime the cell reports. *)
-val runtime_cell : ?coords:Coords.t -> ?batch:int -> ?domains:int -> string -> Graph.t -> Report.cell
+    refusal). [config] as in {!run_named} — the pipeline whose runtime
+    the cell reports. *)
+val runtime_cell : ?coords:Coords.t -> ?config:Dfsssp.Config.t -> string -> Graph.t -> Report.cell
 
 (** [sample_ranks ~rng ~count g] picks [count] distinct terminals uniformly
     (a scattered job allocation); all terminals if [count] exceeds the

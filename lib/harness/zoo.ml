@@ -41,7 +41,7 @@ let verdict_text (report : Analysis.Analyzer.report) =
   | Analysis.Analyzer.Certified _ -> "lint errors"
   | Analysis.Analyzer.Rejected msg -> msg
 
-let check_spec ?max_layers spec =
+let check_spec spec =
   match Topospec.parse spec with
   | Error e -> Error e
   | Ok t ->
@@ -54,7 +54,7 @@ let check_spec ?max_layers spec =
     | Some (s, d) -> fail "existence: terminal %d cannot reach terminal %d" s d
     | None -> ());
     let lb = existence.Analysis.Existence.min_layers_lb in
-    let algorithms = Dfsssp.Registry.all ?coords ?max_layers () in
+    let algorithms = Dfsssp.Registry.all ?coords () in
     let outcomes =
       List.map
         (fun (a : Dfsssp.Registry.algorithm) ->
@@ -81,27 +81,6 @@ let check_spec ?max_layers spec =
               else { algorithm = name; status = Routed layers }))
         algorithms
     in
-    (* Kernel parity: every SSSP kernel must produce the identical table. *)
-    let kernel_run kind = Runs.run_named ?coords ?max_layers ~kernel:kind "dfsssp" g in
-    (match (kernel_run Spf.Heap, kernel_run Spf.Bucket, kernel_run Spf.Incremental) with
-    | Ok heap, Ok bucket, Ok incr ->
-      let same a b = (Ftable.diff a b).Ftable.entries_changed = 0 in
-      if not (same heap bucket) then fail "kernel parity: heap and bucket tables differ";
-      if not (same heap incr) then fail "kernel parity: heap and incremental tables differ";
-      if Ftable.num_layers heap <> Ftable.num_layers bucket
-         || Ftable.num_layers heap <> Ftable.num_layers incr
-      then fail "kernel parity: layer counts differ across kernels"
-    | _ -> fail "kernel parity: a kernel run refused where dfsssp should succeed");
-    (* Engine parity: SCC condensation within +1 layer of the DFS oracle. *)
-    let engine_run e = Runs.run_named ?coords ?max_layers ~engine:e "dfsssp" g in
-    (match (engine_run `Scc, engine_run `Dfs) with
-    | Ok scc, Ok dfs ->
-      let ls = Ftable.num_layers scc and ld = Ftable.num_layers dfs in
-      if ls > ld + 1 then fail "engine parity: scc uses %d layers, dfs oracle %d" ls ld;
-      (match Analysis.Analyzer.certify scc with
-      | Ok _ -> ()
-      | Error msg -> fail "engine parity: scc table rejected: %s" msg)
-    | _ -> fail "engine parity: an engine run refused where dfsssp should succeed");
     Ok
       {
         spec;
@@ -114,10 +93,10 @@ let check_spec ?max_layers spec =
         failures = List.rev !fails;
       }
 
-let run ?max_layers ~specs () =
+let run ~specs () =
   List.map
     (fun spec ->
-      match check_spec ?max_layers spec with
+      match check_spec spec with
       | Ok s -> s
       | Error e ->
         {

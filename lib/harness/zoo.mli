@@ -11,11 +11,10 @@
     - every deadlock-free-by-design algorithm's table is accepted by the
       {!Analysis.Analyzer} certificate checker, and its layer count is
       at least the fabric's provable lower bound;
-    - DFSSSP never refuses (it is the paper's universal algorithm);
-    - kernel parity: the Heap, Bucket and Incremental SSSP kernels give
-      byte-identical DFSSSP tables;
-    - engine parity: the [`Scc] cycle-break engine certifies with a layer
-      count within +1 of the [`Dfs] oracle.
+    - DFSSSP never refuses (it is the paper's universal algorithm).
+
+    The kernel and cycle-break engine parity checks against the test
+    oracles run on the same subjects in the zoo test suite.
 
     Refusals by non-universal algorithms (DOR without coordinates, FTree
     off a fat tree, ...) are recorded but are not failures — they are the
@@ -57,13 +56,14 @@ val corpus_specs : dir:string -> string list
     configurations. *)
 val generator_specs : string list
 
-(** [check_spec spec] runs the full conformance battery on one subject.
-    [Error] means the spec itself failed to parse. *)
-val check_spec : ?max_layers:int -> string -> (subject, string) result
+(** [check_spec spec] runs the full conformance battery on one
+    subject, every algorithm under {!Dfsssp.Config.default}. [Error]
+    means the spec itself failed to parse. *)
+val check_spec : string -> (subject, string) result
 
 (** [run ~specs ()] checks every spec; unparsable specs become subjects
     with a single failure. *)
-val run : ?max_layers:int -> specs:string list -> unit -> subject list
+val run : specs:string list -> unit -> subject list
 
 (** Every failure across the run, prefixed by its subject spec. *)
 val failures : subject list -> string list

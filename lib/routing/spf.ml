@@ -39,17 +39,6 @@ let kind_to_string = function
   | Bucket -> "bucket"
   | Incremental -> "incremental"
 
-let kind_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "auto" -> Ok Auto
-  | "heap" | "binary-heap" | "dijkstra" -> Ok Heap
-  | "bucket" | "dial" | "delta-stepping" -> Ok Bucket
-  | "incremental" | "reuse" -> Ok Incremental
-  | _ ->
-    Error (Printf.sprintf "unknown SSSP kernel %S (expected auto|heap|bucket|incremental)" s)
-
-let pp_kind fmt k = Format.pp_print_string fmt (kind_to_string k)
-
 (* [Auto] resolves to the incremental kernel: it contains the bucket
    core (used for both cache fills and non-terminal destinations) and
    adds switch-tree reuse on top, so it dominates on every workload the

@@ -30,12 +30,6 @@ val all_kinds : kind list
 
 val kind_to_string : kind -> string
 
-(** Inverse of {!kind_to_string}; also accepts a few aliases
-    ("dijkstra", "dial", "reuse", ...). *)
-val kind_of_string : string -> (kind, string) result
-
-val pp_kind : Format.formatter -> kind -> unit
-
 (** [resolve k] is [k] with [Auto] replaced by the concrete default
     kernel. *)
 val resolve : kind -> kind

@@ -487,6 +487,7 @@ let epoch_json t = Obs.Json.Num (float_of_int (epoch_of (Atomic.get t.view)))
 let stats_json t =
   Obs.Json.Obj
     [
+      ("config", Dfsssp.Config.to_json t.config.manager);
       ("manager", Fabric.Metrics.to_json t.fabric_metrics);
       ("process", Obs.Registry.to_json (Obs.Registry.default ()));
       ("service", Metrics.to_json t.metrics);

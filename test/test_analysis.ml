@@ -12,8 +12,8 @@ let qtest ?(count = 40) name gen prop =
 (* Helpers                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let route ?(max_layers = 8) name g =
-  match Harness.Runs.run_named ~max_layers name g with
+let route name g =
+  match Harness.Runs.run_named name g with
   | Ok ft -> ft
   | Error msg -> Alcotest.failf "%s refused: %s" name msg
 
@@ -480,7 +480,7 @@ let test_one_way_ring_routed_above_lb () =
   (* ground truth: dfsssp really does route the one-way 8-ring, and it
      cannot beat the provable minimum of 4 layers *)
   let g = one_way_ring ~switches:8 in
-  let ft = route ~max_layers:8 "dfsssp" g in
+  let ft = route "dfsssp" g in
   check Alcotest.bool "uses >= 4 layers" true (Routing.Ftable.num_layers ft >= 4);
   let r = Analysis.Analyzer.analyze ft in
   check Alcotest.bool "certified" true (Analysis.Analyzer.ok r);
@@ -489,7 +489,7 @@ let test_one_way_ring_routed_above_lb () =
 
 let test_a009_budget_infeasible () =
   let g = one_way_ring ~switches:8 in
-  let ft = route ~max_layers:8 "dfsssp" g in
+  let ft = route "dfsssp" g in
   let merged = copy_table ft in
   let terminals = Graph.terminals g in
   Array.iter
@@ -504,7 +504,7 @@ let test_a009_budget_infeasible () =
 let test_epoch_gate_existence () =
   let epochs = Fabric.Epoch.create () in
   let g = one_way_ring ~switches:8 in
-  let ft = route ~max_layers:8 "dfsssp" g in
+  let ft = route "dfsssp" g in
   let undersized = copy_table ft in
   Routing.Ftable.set_num_layers undersized 3;
   (match Fabric.Epoch.try_swap epochs ~label:"undersized" undersized with
@@ -653,7 +653,7 @@ let lb_never_exceeds_achieved =
                match Analysis.Analyzer.certify ft with
                | Error _ -> true
                | Ok _ -> lb <= Routing.Ftable.num_layers ft))
-           (Dfsssp.Registry.all ~max_layers:16 ()))
+           (Dfsssp.Registry.all ~config:(Testutil.with_layers 16) ()))
 
 (* ------------------------------------------------------------------ *)
 (* Rule catalog: explanations and ASCII hygiene                         *)

@@ -346,17 +346,12 @@ let heuristics_all_sound_qcheck =
           Heuristic.all)
 
 (* ------------------------------------------------------------------ *)
-(* Scc and the break-engine knob                                        *)
+(* Scc, and the DFS oracle it is checked against                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_engine_strings () =
-  List.iter
-    (fun e ->
-      match Layers.engine_of_string (Layers.engine_to_string e) with
-      | Ok e' -> Alcotest.(check bool) "round trip" true (e = e')
-      | Error msg -> Alcotest.fail msg)
-    [ `Scc; `Dfs ];
-  Alcotest.(check bool) "unknown rejected" true (Result.is_error (Layers.engine_of_string "bogus"))
+  (* the name the configuration's JSON stamp records *)
+  Alcotest.(check string) "scc" "scc" (Layers.engine_to_string `Scc)
 
 let test_scc_condensation () =
   let g, paths = ring_fixture 5 in
@@ -387,13 +382,15 @@ let test_scc_self_loop_nontrivial () =
   check Alcotest.int "self-loop is non-trivial" 1 (Array.length scc.Scc.nontrivial);
   check Alcotest.(array int) "the looping channel" [| c |] scc.Scc.nontrivial.(0)
 
-let engines = [ (`Scc, "scc"); (`Dfs, "dfs") ]
+(* The shipped SCC engine and the DFS oracle, same contract. *)
+let engines =
+  [ ((fun g ~paths -> Layers.assign g ~paths), "scc"); (Oracle.Layers_dfs.assign, "dfs") ]
 
 let test_layers_ring_both_engines () =
   let g, paths = ring_fixture 5 in
   List.iter
     (fun (engine, name) ->
-      match Layers.assign ~engine g ~paths ~max_layers:8 ~heuristic:Heuristic.Weakest with
+      match engine g ~paths ~max_layers:8 ~heuristic:Heuristic.Weakest with
       | Error e -> Alcotest.failf "%s: %s" name e
       | Ok outcome ->
         check Alcotest.int (name ^ ": two layers suffice") 2 outcome.Layers.layers_used;
@@ -409,7 +406,7 @@ let test_layers_budget_both_engines () =
   let g, paths = ring_fixture 5 in
   List.iter
     (fun (engine, name) ->
-      match Layers.assign ~engine g ~paths ~max_layers:1 ~heuristic:Heuristic.Weakest with
+      match engine g ~paths ~max_layers:1 ~heuristic:Heuristic.Weakest with
       | Error msg ->
         Alcotest.(check bool) (name ^ ": explains") true (Testutil.contains msg "no layer is left")
       | Ok _ -> Alcotest.failf "%s: 1 layer cannot be deadlock-free on the ring pattern" name)
@@ -418,7 +415,7 @@ let test_layers_budget_both_engines () =
 let test_scc_acyclic_input () =
   let g, paths = ring_fixture 7 in
   let some = [| paths.(0); paths.(2); paths.(4) |] in
-  match Layers.assign ~engine:`Scc g ~paths:some ~max_layers:8 ~heuristic:Heuristic.Weakest with
+  match Layers.assign g ~paths:some ~max_layers:8 ~heuristic:Heuristic.Weakest with
   | Error e -> Alcotest.fail e
   | Ok outcome ->
     check Alcotest.int "one layer" 1 outcome.Layers.layers_used;
@@ -434,7 +431,7 @@ let test_scc_domains_deterministic () =
     Routing.Ftable.iter_pairs ft (fun ~src:_ ~dst:_ p -> paths := p :: !paths);
     let paths = Array.of_list !paths in
     let run domains =
-      match Layers.assign ~engine:`Scc ~domains g ~paths ~max_layers:16 ~heuristic:Heuristic.Weakest with
+      match Layers.assign ~domains g ~paths ~max_layers:16 ~heuristic:Heuristic.Weakest with
       | Error e -> Alcotest.fail e
       | Ok o -> o
     in
@@ -455,8 +452,8 @@ let engines_agree_qcheck =
         let paths = ref [] in
         Routing.Ftable.iter_pairs ft (fun ~src:_ ~dst:_ p -> paths := p :: !paths);
         let paths = Array.of_list !paths in
-        let run engine =
-          match Layers.assign ~engine g ~paths ~max_layers:16 ~heuristic:Heuristic.Weakest with
+        let run (engine, _) =
+          match engine g ~paths ~max_layers:16 ~heuristic:Heuristic.Weakest with
           | Error _ -> None
           | Ok o ->
             if
@@ -465,8 +462,8 @@ let engines_agree_qcheck =
             then Some o.Layers.layers_used
             else None
         in
-        (match (run `Scc, run `Dfs) with
-        | Some scc, Some dfs -> scc <= dfs + 1
+        (match List.map run engines with
+        | [ Some scc; Some dfs ] -> scc <= dfs + 1
         | _ -> false))
 
 (* ------------------------------------------------------------------ *)

@@ -68,7 +68,7 @@ let test_tree_needs_one_layer () =
 
 let test_budget_exhaustion () =
   let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
-  match Dfsssp.route ~max_layers:1 g with
+  match Dfsssp.route ~config:(Testutil.with_layers 1) g with
   | Error (Dfsssp.Layers_exhausted _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Dfsssp.error_to_string e)
   | Ok _ -> Alcotest.fail "expected exhaustion"
@@ -79,8 +79,13 @@ let test_budget_exhaustion () =
    same heuristic, same eviction order within each component. *)
 let test_fig_layer_parity () =
   let parity name g =
-    let vl engine = expect name (Dfsssp.layers_required ~engine ~max_layers:64 g) in
-    check Alcotest.int (name ^ ": scc matches dfs") (vl `Dfs) (vl `Scc)
+    let dfs =
+      match Oracle.Layers_dfs.route ~max_layers:64 g with
+      | Ok ft -> Routing.Ftable.num_layers ft
+      | Error msg -> Alcotest.failf "%s: dfs oracle: %s" name msg
+    in
+    let scc = expect name (Dfsssp.layers_required ~config:(Testutil.with_layers 64) g) in
+    check Alcotest.int (name ^ ": scc matches dfs") dfs scc
   in
   for t = 0 to 2 do
     let rng = Rng.create ((7 * 10007) + (t * 31)) in
@@ -106,8 +111,8 @@ let test_variants_and_heuristics () =
 
 let test_balance_spreads () =
   let g = fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:1) in
-  let plain = expect "plain" (Dfsssp.route ~max_layers:8 g) in
-  let balanced = expect "balanced" (Dfsssp.route ~max_layers:8 ~balance:true g) in
+  let plain = expect "plain" (Dfsssp.route g) in
+  let balanced = expect "balanced" (Dfsssp.route ~balance:true g) in
   Alcotest.(check bool) "balanced still deadlock free" true (certified balanced);
   Alcotest.(check bool) "balance uses more layers" true
     (Routing.Ftable.num_layers balanced >= Routing.Ftable.num_layers plain);
@@ -120,7 +125,7 @@ let test_weakest_not_worse_than_heaviest () =
   for seed = 0 to 9 do
     let rng = Rng.create (1000 + seed) in
     let g = Topo_random.make ~switches:12 ~switch_radix:12 ~terminals:24 ~inter_links:20 ~rng in
-    let layers h = expect "h" (Dfsssp.layers_required ~heuristic:h ~max_layers:32 g) in
+    let layers h = expect "h" (Dfsssp.layers_required ~heuristic:h ~config:(Testutil.with_layers 32) g) in
     if layers Deadlock.Heuristic.Weakest > layers Deadlock.Heuristic.Heaviest then incr worse
   done;
   Alcotest.(check bool) "weakest rarely worse" true (!worse <= 2)
@@ -130,7 +135,7 @@ let dfsssp_random_qcheck =
     (fun seed ->
       let rng = Rng.create seed in
       let g = Topo_random.make ~switches:10 ~switch_radix:10 ~terminals:20 ~inter_links:16 ~rng in
-      match Dfsssp.route ~max_layers:16 g with
+      match Dfsssp.route ~config:(Testutil.with_layers 16) g with
       | Error _ -> false
       | Ok ft -> (
         match Routing.Ftable.validate ft with
@@ -143,7 +148,7 @@ let dfsssp_torus_layers_qcheck =
       (* measured: 3x3 -> 1 (ties avoid the wrap cycle), 4x4 -> 2, 5x5 -> 3;
          the requirement grows with the torus radius *)
       let g = fst (Topo_torus.torus ~dims:[| k; k |] ~terminals_per_switch:1) in
-      match Dfsssp.layers_required ~max_layers:8 g with
+      match Dfsssp.layers_required g with
       | Error _ -> false
       | Ok l -> l >= 1 && l <= k - 2 + 1)
 
@@ -191,7 +196,7 @@ let test_multipath_basics () =
 let test_multipath_joint_layers () =
   (* the joint lane bill can exceed a single plane's *)
   let g = fst (Topo_torus.torus ~dims:[| 5; 5 |] ~terminals_per_switch:1) in
-  let single = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route ~max_layers:16 g)) in
+  let single = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route ~config:(Testutil.with_layers 16) g)) in
   match Dfsssp.Multipath.route ~planes:2 ~max_layers:16 g with
   | Error e -> Alcotest.fail (Dfsssp.error_to_string e)
   | Ok mp ->
@@ -292,7 +297,18 @@ let test_route_min_layers () =
             (Routing.Ftable.num_layers ft <= l)
         | Error _ -> ())
       Deadlock.Heuristic.all;
-    ignore winner
+    (* with [domains > 1] the heuristics race on a worker pool; the
+       winner and its table must be the sequential scan's *)
+    match Dfsssp.route_min_layers ~config:{ Dfsssp.Config.default with domains = 2 } g with
+    | Error e -> Alcotest.fail (Dfsssp.error_to_string e)
+    | Ok (par, par_winner) ->
+      Alcotest.(check string)
+        "two domains: same winner"
+        (Deadlock.Heuristic.to_string winner)
+        (Deadlock.Heuristic.to_string par_winner);
+      Alcotest.(check int)
+        "two domains: same table" 0
+        (Routing.Ftable.diff ft par).Routing.Ftable.entries_changed
 
 let test_registry_deadlock_free_flags () =
   let g = fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:1) in

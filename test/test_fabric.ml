@@ -21,12 +21,12 @@ let chan_between g a b =
 
 let first_switch_cable g = (Degrade.switch_cables g).(0)
 
-let route_dfsssp ?(max_layers = 8) g =
+let route_dfsssp g =
   let weights = Routing.Sssp.initial_weights g in
   match Routing.Sssp.route_plane g ~weights with
   | Error msg -> Alcotest.failf "route_plane: %s" msg
   | Ok ft -> (
-    match Dfsssp.assign_layers ~max_layers ft with
+    match Dfsssp.assign_layers ft with
     | Ok ft -> ft
     | Error e -> Alcotest.failf "assign_layers: %s" (Dfsssp.error_to_string e))
 
@@ -701,6 +701,82 @@ let test_schedule_parse () =
   | Error msg -> Alcotest.failf "parse: %s" msg
 
 (* ------------------------------------------------------------------ *)
+(* One pipeline config                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let bad_fractions = [ 1.5; -0.1; Float.nan ]
+
+let test_config_validate () =
+  check Alcotest.bool "default valid" true (Result.is_ok (Dfsssp.Config.validate Dfsssp.Config.default));
+  check Alcotest.bool "bounds valid" true
+    (List.for_all
+       (fun repair_fraction ->
+         Result.is_ok (Dfsssp.Config.validate { Dfsssp.Config.default with repair_fraction }))
+       [ 0.0; 1.0 ]);
+  List.iter
+    (fun repair_fraction ->
+      match Dfsssp.Config.validate { Dfsssp.Config.default with repair_fraction } with
+      | Ok _ -> Alcotest.failf "repair_fraction %g accepted" repair_fraction
+      | Error msg ->
+        check Alcotest.bool (Printf.sprintf "%g: names the field" repair_fraction) true
+          (Testutil.contains msg "repair_fraction"))
+    bad_fractions;
+  let d = Dfsssp.Config.default in
+  List.iter
+    (fun (field, c) ->
+      match Dfsssp.Config.validate c with
+      | Ok _ -> Alcotest.failf "%s 0 accepted" field
+      | Error msg -> check Alcotest.bool (field ^ ": names the field") true (Testutil.contains msg field))
+    [
+      ("max_layers", { d with max_layers = 0 });
+      ("layer_budget", { d with layer_budget = 0 });
+      ("batch", { d with batch = 0 });
+      ("domains", { d with domains = 0 });
+    ]
+
+(* The manager refuses an invalid config with the validator's own
+   message — before routing anything. *)
+let test_manager_rejects_bad_config () =
+  let g = torus [| 3; 3 |] in
+  List.iter
+    (fun repair_fraction ->
+      let config = { Fabric.Manager.default_config with repair_fraction } in
+      let expected =
+        match Dfsssp.Config.validate config with
+        | Error msg -> msg
+        | Ok _ -> Alcotest.failf "repair_fraction %g accepted" repair_fraction
+      in
+      Alcotest.check_raises (Printf.sprintf "repair_fraction %g" repair_fraction)
+        (Invalid_argument expected) (fun () -> ignore (Fabric.Manager.create ~config g)))
+    bad_fractions
+
+(* The shipped tables, pinned: digests of [Ftable_io.to_string] under
+   [Dfsssp.Config.default], for [Dfsssp.route] and [Manager.create]
+   alike. A change here changes what every fabric is routed with. *)
+let test_pinned_tables () =
+  List.iter
+    (fun (spec, digest) ->
+      let g =
+        match Harness.Topospec.parse spec with
+        | Ok t -> t.Harness.Topospec.graph
+        | Error e -> Alcotest.failf "%s: %s" spec e
+      in
+      let hex ft = Digest.to_hex (Digest.string (Routing.Ftable_io.to_string ft)) in
+      (match Dfsssp.route ~config:Dfsssp.Config.default g with
+      | Ok ft -> check Alcotest.string (spec ^ ": Dfsssp.route") digest (hex ft)
+      | Error e -> Alcotest.failf "%s: %s" spec (Dfsssp.error_to_string e));
+      match Fabric.Manager.create ~config:Dfsssp.Config.default g with
+      | Ok m ->
+        check Alcotest.string (spec ^ ": Manager.create") digest (hex (Fabric.Manager.tables m));
+        Fabric.Manager.shutdown m
+      | Error msg -> Alcotest.failf "%s: %s" spec msg)
+    [
+      ("torus:6x6:2", "052cbc63964ed33727cfe10d926e2621");
+      ("xgft:2,4/1,2:16", "dd970e24a5bb01ea1b1a2eb7cbddbbc7");
+      ("jellyfish:14,8,5:7", "9231fa6d2b173cc451f9ed789d5a5093");
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "fabric"
@@ -748,6 +824,12 @@ let () =
           Alcotest.test_case "parity: torus 8x8 replay" `Quick test_gate_parity_torus_replay;
           Alcotest.test_case "fails closed" `Quick test_gate_fails_closed;
           Alcotest.test_case "shared store read-only" `Quick test_gate_store_read_only;
+        ] );
+      ( "config",
+        [
+          Alcotest.test_case "validate" `Quick test_config_validate;
+          Alcotest.test_case "manager rejects a bad config" `Quick test_manager_rejects_bad_config;
+          Alcotest.test_case "pinned shipped tables" `Quick test_pinned_tables;
         ] );
       ( "schedule",
         [

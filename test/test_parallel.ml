@@ -204,9 +204,8 @@ let registry_domains_invariant =
     (fun seed ->
       let _, g = fabric seed in
       let run domains =
-        match
-          Dfsssp.Registry.find ~max_layers:8 ~batch:Routing.Sssp.recommended_batch ~domains "dfsssp"
-        with
+        let config = { Dfsssp.Config.default with batch = Routing.Sssp.recommended_batch; domains } in
+        match Dfsssp.Registry.find ~config "dfsssp" with
         | None -> Alcotest.fail "dfsssp not in registry"
         | Some a -> engine_exn "dfsssp" (a.Dfsssp.Registry.run g)
       in

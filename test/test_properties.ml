@@ -218,7 +218,7 @@ let acyclic_implies_drain =
   qtest ~count:12 "acyclic CDG => both simulators drain" seed_gen (fun seed ->
       let rng = Rng.create seed in
       let g = Testutil.random_graph ~switches:7 ~switch_radix:8 ~terminals:14 ~inter_links:11 rng in
-      match Dfsssp.route ~max_layers:16 g with
+      match Dfsssp.route ~config:(Testutil.with_layers 16) g with
       | Error _ -> false
       | Ok ft ->
         Result.is_ok (Analysis.Analyzer.certify ft)
@@ -364,7 +364,7 @@ let sl_dump_matches_layers =
   qtest ~count:10 "opensm: SL dump encodes the layer table" seed_gen (fun seed ->
       let rng = Rng.create seed in
       let g = Testutil.random_graph ~switches:6 ~switch_radix:8 ~terminals:10 ~inter_links:9 rng in
-      match Dfsssp.route ~max_layers:16 g with
+      match Dfsssp.route ~config:(Testutil.with_layers 16) g with
       | Error _ -> false
       | Ok ft ->
         let dump = Routing.Opensm.sl_dump ft in
@@ -397,7 +397,7 @@ let ftable_io_random =
   qtest ~count:12 "ftable_io: routes survive the round trip" seed_gen (fun seed ->
       let rng = Rng.create seed in
       let g = Testutil.random_graph ~switches:7 ~switch_radix:8 ~terminals:10 ~inter_links:10 rng in
-      match Dfsssp.route ~max_layers:16 g with
+      match Dfsssp.route ~config:(Testutil.with_layers 16) g with
       | Error _ -> false
       | Ok ft -> (
         match Routing.Ftable_io.of_string (Routing.Ftable_io.to_string ft) with
@@ -529,7 +529,7 @@ let switch_removal_sound =
       match Degrade.remove_switch g ~switch:victim with
       | Error _ -> true (* remainder disconnected: nothing to check *)
       | Ok g' -> (
-        match Dfsssp.route ~max_layers:16 g' with
+        match Dfsssp.route ~config:(Testutil.with_layers 16) g' with
         | Error _ -> false
         | Ok ft -> Result.is_ok (Analysis.Analyzer.certify ft)))
 
@@ -594,7 +594,7 @@ let registry_engines_certify =
             match report.Analysis.Analyzer.verdict with
             | Analysis.Analyzer.Certified _ -> true
             | Analysis.Analyzer.Rejected _ -> not a.Dfsssp.Registry.deadlock_free_by_design))
-        (Dfsssp.Registry.all ?coords ~max_layers:16 ()))
+        (Dfsssp.Registry.all ?coords ~config:(Testutil.with_layers 16) ()))
 
 (* Both offline cycle-break engines must hand the analyzer certifiable
    tables on the registry's fabric mix, with the SCC engine's layer
@@ -609,8 +609,7 @@ let break_engines_certify =
         | 1 -> Testutil.random_graph ~terminals:10 rng
         | _ -> Topo_kautz.make ~b:2 ~n:3 ~endpoints:18
       in
-      let layers engine =
-        match Dfsssp.route ~engine ~max_layers:16 g with
+      let certified_layers = function
         | Error _ -> None
         | Ok ft -> (
           let report = Analysis.Analyzer.analyze ft in
@@ -618,7 +617,12 @@ let break_engines_certify =
           | Analysis.Analyzer.Certified _ -> Some (Routing.Ftable.num_layers ft)
           | Analysis.Analyzer.Rejected _ -> None)
       in
-      match (layers `Scc, layers `Dfs) with
+      let scc =
+        certified_layers
+          (Result.map_error Dfsssp.error_to_string
+             (Dfsssp.route ~config:(Testutil.with_layers 16) g))
+      in
+      match (scc, certified_layers (Oracle.Layers_dfs.route ~max_layers:16 g)) with
       | Some scc, Some dfs -> scc <= dfs + 1
       | _ -> false)
 

@@ -25,10 +25,11 @@ let fresh_sock_path () =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   path
 
-let config ?(queue_depth = 64) path =
+let config ?(queue_depth = 64) ?(manager = Dfsssp.Config.default) path =
   {
     Service.Server.default_config with
     addr = Service.Proto.Unix_path path;
+    manager;
     queue_depth;
     tick_s = 0.005;
     trace_capacity = 128;
@@ -37,9 +38,9 @@ let config ?(queue_depth = 64) path =
 (* Start a server on a fresh socket, run [f addr server], always join the
    serve thread and unlink the socket. [f] must end the loop (a shutdown
    request or [Server.stop]). *)
-let with_server ?queue_depth g f =
+let with_server ?queue_depth ?manager g f =
   let path = fresh_sock_path () in
-  match Service.Server.create ~config:(config ?queue_depth path) g with
+  match Service.Server.create ~config:(config ?queue_depth ?manager path) g with
   | Error msg -> Alcotest.failf "server create: %s" msg
   | Ok server ->
     let th = Thread.create Service.Server.serve server in
@@ -210,6 +211,28 @@ let test_server_end_to_end () =
           (* shutdown: acknowledged, then the loop exits *)
           ok (Service.Client.shutdown c)));
   ()
+
+(* The stats reply carries the manager's configuration — the provenance
+   stamp of every number beside it. *)
+let test_stats_carry_config () =
+  let manager = { Dfsssp.Config.default with repair_fraction = 0.25; layer_budget = 6 } in
+  with_server ~manager (torus [| 3; 3 |]) (fun addr _server ->
+      let c = connect addr in
+      Fun.protect ~finally:(fun () -> Service.Client.close c) (fun () ->
+          let stats = ok (Service.Client.stats c) in
+          (match Obs.Json.member "config" stats with
+          | None -> Alcotest.fail "stats reply lacks the config"
+          | Some j ->
+            check Alcotest.string "the manager's config, as Config.to_json writes it"
+              (Obs.Json.to_string (Dfsssp.Config.to_json manager))
+              (Obs.Json.to_string j);
+            check Alcotest.(option string) "algorithm" (Some "dfsssp")
+              (Option.bind (Obs.Json.member "algorithm" j) Obs.Json.to_str);
+            check Alcotest.(option int) "layer_budget" (Some 6)
+              (Option.bind (Obs.Json.member "layer_budget" j) Obs.Json.to_int));
+          check Alcotest.bool "registries still beside it" true
+            (Obs.Json.member "manager" stats <> None && Obs.Json.member "service" stats <> None);
+          ok (Service.Client.shutdown c)))
 
 let test_server_refuses_existing_socket () =
   let path = fresh_sock_path () in
@@ -481,9 +504,16 @@ let replied fd =
   let readable, _, _ = Unix.select [ fd ] [] [] 0.0 in
   readable <> []
 
+(* A read sent while a step is in flight is answered from the installed
+   epoch. The step must outlast the read by a wide margin on any host, so
+   this fabric is heavier than [torus8]: the healthy 8x8 torus with 8
+   terminals per switch needs all 10 of its layers, and downing cable 2
+   forces a full recompute that runs out of them (several hundred
+   milliseconds), ending with the stale epoch 1 still installed. *)
 let test_route_answered_during_apply () =
-  let g = torus8 () in
-  with_server g (fun addr server ->
+  let g = fst (Topo_torus.torus ~dims:[| 8; 8 |] ~terminals_per_switch:8) in
+  let manager = { Dfsssp.Config.default with max_layers = 10; layer_budget = 10 } in
+  with_server ~manager g (fun addr server ->
       let ev = raw_connect addr and c = connect addr in
       Fun.protect
         ~finally:(fun () ->
@@ -492,7 +522,7 @@ let test_route_answered_during_apply () =
         (fun () ->
           let terms = Graph.terminals g in
           let src = terms.(0) and dst = terms.(Array.length terms - 1) in
-          Service.Proto.write_frame ev down_290;
+          Service.Proto.write_frame ev {|{"op":"event","event":"down 2","id":"ev"}|};
           Thread.delay 0.01;
           let r = ok (Service.Client.route c ~src ~dst) in
           check Alcotest.bool "route answered before the event's reply" false (replied ev);
@@ -618,6 +648,7 @@ let () =
       ( "server",
         [
           Alcotest.test_case "every op end to end" `Quick test_server_end_to_end;
+          Alcotest.test_case "stats carry the config" `Quick test_stats_carry_config;
           Alcotest.test_case "existing socket path refused" `Quick test_server_refuses_existing_socket;
           Alcotest.test_case "bad requests answered, not fatal" `Quick test_server_rejects_bad_requests;
         ] );

@@ -205,7 +205,7 @@ let dfsssp_certifiable =
           | Error _ -> g
       in
       let run kernel =
-        match Dfsssp.Registry.find ~kernel "dfsssp" with
+        match Dfsssp.Registry.find ~config:{ Dfsssp.Config.default with kernel } "dfsssp" with
         | None -> Alcotest.fail "dfsssp not registered"
         | Some algo -> (
           match algo.Dfsssp.Registry.run g with

@@ -1,8 +1,9 @@
 (* The topology-zoo conformance battery as a test suite: every corpus
    file under examples/zoo and every seeded generator sample must route,
    certify and respect the existence lower bounds across the full
-   registry — plus the churn-soak harness invariants (quick mode,
-   failure artifacts, determinism). *)
+   registry, and DFSSSP must agree with the test oracles on each (SSSP
+   kernels, DFS cycle breaking) — plus the churn-soak harness invariants
+   (quick mode, failure artifacts, determinism). *)
 
 let check = Alcotest.check
 
@@ -40,6 +41,53 @@ let test_zoo_conformance () =
           Alcotest.failf "%s: dfsssp below lower bound" s.Harness.Zoo.spec
       | _ -> Alcotest.failf "%s: no certified dfsssp outcome" s.Harness.Zoo.spec)
     subjects
+
+let zoo_graphs () =
+  List.map
+    (fun spec ->
+      match Harness.Topospec.parse spec with
+      | Ok t -> (spec, t.Harness.Topospec.graph)
+      | Error e -> Alcotest.failf "%s: %s" spec e)
+    (Harness.Zoo.corpus_specs ~dir:(corpus_dir ()) @ Harness.Zoo.generator_specs)
+
+let dfsssp_exn spec config g =
+  match Dfsssp.route ~config g with
+  | Ok ft -> ft
+  | Error e -> Alcotest.failf "%s: %s" spec (Dfsssp.error_to_string e)
+
+(* Kernel parity: every SSSP kernel gives the heap oracle's DFSSSP
+   tables, entry for entry and layer for layer. *)
+let test_zoo_kernel_parity () =
+  List.iter
+    (fun (spec, g) ->
+      let run kernel = dfsssp_exn spec { Dfsssp.Config.default with kernel } g in
+      let heap = run Routing.Spf.Heap in
+      List.iter
+        (fun kernel ->
+          let ft = run kernel in
+          let name = Routing.Spf.kind_to_string kernel in
+          if not (Testutil.same_tables heap ft) then
+            Alcotest.failf "%s: heap and %s tables differ" spec name;
+          check Alcotest.int (spec ^ ": layers under " ^ name) (Routing.Ftable.num_layers heap)
+            (Routing.Ftable.num_layers ft))
+        [ Routing.Spf.Bucket; Routing.Spf.Incremental; Routing.Spf.Auto ])
+    (zoo_graphs ())
+
+(* Engine parity: the shipped SCC engine certifies within +1 layer of
+   the one-cycle-at-a-time DFS oracle. *)
+let test_zoo_engine_parity () =
+  List.iter
+    (fun (spec, g) ->
+      let scc = dfsssp_exn spec Dfsssp.Config.default g in
+      (match Analysis.Analyzer.certify scc with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s: scc table rejected: %s" spec msg);
+      match Oracle.Layers_dfs.route g with
+      | Error msg -> Alcotest.failf "%s: dfs oracle refused: %s" spec msg
+      | Ok dfs ->
+        let ls = Routing.Ftable.num_layers scc and ld = Routing.Ftable.num_layers dfs in
+        if ls > ld + 1 then Alcotest.failf "%s: scc uses %d layers, dfs oracle %d" spec ls ld)
+    (zoo_graphs ())
 
 let test_zoo_quirky_repairs () =
   let spec = "dot:" ^ Filename.concat (corpus_dir ()) "quirky.dot" in
@@ -119,6 +167,8 @@ let () =
         [
           Alcotest.test_case "corpus present" `Quick test_corpus_present;
           Alcotest.test_case "full battery" `Slow test_zoo_conformance;
+          Alcotest.test_case "kernel parity" `Slow test_zoo_kernel_parity;
+          Alcotest.test_case "engine parity" `Slow test_zoo_engine_parity;
           Alcotest.test_case "quirky repairs" `Quick test_zoo_quirky_repairs;
           Alcotest.test_case "bad spec" `Quick test_zoo_bad_spec;
         ] );

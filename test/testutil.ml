@@ -32,3 +32,6 @@ let random_graph ?(switches = 8) ?(switch_radix = 10) ?(terminals = 16) ?(inter_
   Topo_random.make ~switches ~switch_radix ~terminals ~inter_links ~rng
 
 let same_tables a b = (Routing.Ftable.diff a b).Routing.Ftable.entries_changed = 0
+
+(* The default pipeline configuration under another layer budget. *)
+let with_layers n = { Dfsssp.Config.default with max_layers = n }
